@@ -42,14 +42,12 @@ pub enum Command {
         corpus: Option<String>,
     },
     /// Drive a simulated fleet of periodic tasks through the batched
-    /// controller (sharded waves, shared meta store) and print throughput.
+    /// controller (per-task waves, shared meta store) and print throughput.
     TuneFleet {
         /// Number of simulated tasks (HiBench workloads, cycled).
         tasks: usize,
         /// Periodic executions per task.
         budget: usize,
-        /// Shard count override (default: `OTUNE_SHARDS` or 8).
-        shards: Option<usize>,
         /// Wave-pool width override (default: `OTUNE_THREADS`).
         threads: Option<usize>,
         /// RNG seed.
@@ -242,7 +240,7 @@ USAGE:
     --fault-profile oom:0.1,straggler:0.05,lost:0.02,tmax:120,seed:7
   (rates per run; `tmax` in seconds kills runs over budget; omitted
   keys default to 0 / off).
-  otune tune-fleet [--tasks N] [--budget N] [--shards S] [--threads T]
+  otune tune-fleet [--tasks N] [--budget N] [--threads T]
                    [--seed S] [--sparse-gp] [--events FILE]
                    [--trace FILE] [--prom FILE] [--corpus FILE]
 
@@ -387,7 +385,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             Ok(Command::TuneFleet {
                 tasks: num("tasks", 50.0)? as usize,
                 budget: num("budget", 5.0)? as usize,
-                shards: opt_usize("shards")?,
                 threads: opt_usize("threads")?,
                 seed: num("seed", 0.0)? as u64,
                 sparse_gp: switches.contains(&"sparse-gp".to_string()),
@@ -725,7 +722,6 @@ mod tests {
             Command::TuneFleet {
                 tasks: 50,
                 budget: 5,
-                shards: None,
                 threads: None,
                 seed: 0,
                 sparse_gp: false,
@@ -737,13 +733,12 @@ mod tests {
         );
         assert_eq!(
             parse_args(&argv(
-                "tune-fleet --tasks 200 --budget 3 --shards 4 --threads 2 --seed 9 --events f.jsonl --trace t.json --prom m.prom"
+                "tune-fleet --tasks 200 --budget 3 --threads 2 --seed 9 --events f.jsonl --trace t.json --prom m.prom"
             ))
             .unwrap(),
             Command::TuneFleet {
                 tasks: 200,
                 budget: 3,
-                shards: Some(4),
                 threads: Some(2),
                 seed: 9,
                 sparse_gp: false,
@@ -753,7 +748,7 @@ mod tests {
                 corpus: None,
             }
         );
-        assert!(parse_args(&argv("tune-fleet --shards x")).is_err());
+        assert!(parse_args(&argv("tune-fleet --threads x")).is_err());
     }
 
     #[test]

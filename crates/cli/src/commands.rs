@@ -93,7 +93,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
         Command::TuneFleet {
             tasks,
             budget,
-            shards,
             threads,
             seed,
             sparse_gp,
@@ -102,7 +101,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
             prom,
             corpus,
         } => tune_fleet(
-            tasks, budget, shards, threads, seed, sparse_gp, events, trace, prom, corpus, out,
+            tasks, budget, threads, seed, sparse_gp, events, trace, prom, corpus, out,
         ),
         Command::TuneServe {
             journal,
@@ -403,14 +402,13 @@ fn tune(
 /// `otune tune-fleet`: drive a simulated fleet of periodic HiBench tasks
 /// through the controller's batched wave API and report throughput.
 /// Every task reports its event-log meta-features on its first result, so
-/// the run exercises the full fleet path: sharded waves, the shared
+/// the run exercises the full fleet path: per-task waves, the shared
 /// meta-knowledge store, scheduled similarity refits, and warm-start
 /// injection.
 #[allow(clippy::too_many_arguments)]
 fn tune_fleet(
     tasks: usize,
     budget: usize,
-    shards: Option<usize>,
     threads: Option<usize>,
     seed: u64,
     sparse_gp: bool,
@@ -421,9 +419,6 @@ fn tune_fleet(
     out: &mut dyn Write,
 ) -> std::io::Result<i32> {
     let mut fleet = FleetOptions::from_env();
-    if let Some(s) = shards {
-        fleet.shards = s.max(1);
-    }
     if let Some(t) = threads {
         fleet.pool = Pool::new(t.max(1));
     }
@@ -436,8 +431,7 @@ fn tune_fleet(
     };
     writeln!(
         out,
-        "fleet tuning: {tasks} task(s), budget {budget}, {} shard(s), {} thread(s)",
-        fleet.shards,
+        "fleet tuning: {tasks} task(s), budget {budget}, {} thread(s)",
         fleet.pool.threads(),
     )?;
 
@@ -824,7 +818,6 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
             let code = tune_fleet(
                 tasks,
                 budget,
-                None,
                 None,
                 seed,
                 false,
@@ -1473,7 +1466,7 @@ fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
 }
 
 /// Print a metrics snapshot as a summary table. Fleet runs surface the
-/// sharding gauges (`fleet_shards`, `fleet_tasks`), wave spans
+/// fleet-size gauge (`fleet_tasks`), wave spans
 /// (`fleet_wave_s`), shared-cache hit counters (`shared_meta_*`,
 /// `shared_dist_*`) and similarity refit counters here alongside the
 /// per-task tuning metrics.
@@ -1764,6 +1757,68 @@ mod tests {
         assert!(text.contains("bad report JSON"), "{text}");
         assert!(text.contains("no suggested wave"), "{text}");
         assert!(text.contains("paused at wave 1"), "{text}");
+    }
+
+    #[test]
+    fn serve_loop_invalid_report_keeps_the_wave_pending() {
+        // A zero runtime on the second item of a wave must be rejected
+        // before the first item reaches its tuner: the wave stays pending,
+        // the corrected report commits it, and the paused campaign then
+        // resumes to the same result as one that never saw the bad report.
+        let dir = serve_dir("invalid");
+        let journal = dir.join("journal.jsonl");
+        let _ = std::fs::remove_file(&journal);
+        let (t, _s) = otune_core::telemetry::Telemetry::ring(1024);
+        let mut engine = JobEngine::start(small_spec(), &journal, t.clone()).unwrap();
+        engine.suggest_wave().unwrap();
+        let good = engine.execute_pending().unwrap();
+        let mut bad = good.clone();
+        bad[1].runtime_s = 0.0;
+        bad[1].status = "success".to_string();
+
+        let script = format!(
+            "report {}\nstatus\nreport {}\n",
+            serde_json::to_string(&bad).unwrap(),
+            serde_json::to_string(&good).unwrap()
+        );
+        let mut buf = Vec::new();
+        let code = serve_loop(&mut engine, &mut std::io::Cursor::new(script), &mut buf).unwrap();
+        assert_eq!(code, 0);
+        let text = String::from_utf8(buf).unwrap();
+        assert!(
+            text.contains("report for task 1 has an invalid runtime or resource"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"wave_cursor\":0,\"budget\":2,\"completed\":false,\"pending\":true"),
+            "the rejected wave stays pending: {text}"
+        );
+        assert!(text.contains("wave 0 reported"), "{text}");
+        assert!(text.contains("paused at wave 1"), "{text}");
+        let snap = t.snapshot().unwrap();
+        assert_eq!(
+            snap.counters[otune_core::telemetry::metric::INVALID_REPORTS],
+            1
+        );
+        drop(engine);
+
+        let (t, _s) = otune_core::telemetry::Telemetry::ring(1024);
+        let mut resumed = JobEngine::open(&journal, t).unwrap();
+        let summary = resumed.run_to_completion().unwrap().clone();
+
+        let reference_journal = dir.join("reference.jsonl");
+        let _ = std::fs::remove_file(&reference_journal);
+        let (t, _s) = otune_core::telemetry::Telemetry::ring(1024);
+        let mut reference = JobEngine::start(small_spec(), &reference_journal, t).unwrap();
+        let expected = reference.run_to_completion().unwrap().clone();
+        assert_eq!(summary, expected);
+        for task in 0..reference.n_tasks() {
+            assert_eq!(
+                resumed.suggestion_trace(task).unwrap(),
+                reference.suggestion_trace(task).unwrap(),
+                "task {task}"
+            );
+        }
     }
 
     #[test]
@@ -2090,7 +2145,6 @@ mod tests {
             Command::TuneFleet {
                 tasks: 4,
                 budget: 2,
-                shards: Some(2),
                 threads: Some(2),
                 seed: 1,
                 sparse_gp: false,
@@ -2107,7 +2161,7 @@ mod tests {
         assert!(text.contains("suggestions/sec"), "{text}");
         assert!(text.contains("4/4 task(s) hold an incumbent"), "{text}");
         // The fleet metrics surface in the printed snapshot...
-        assert!(text.contains("fleet_shards"), "{text}");
+        assert!(text.contains("fleet_tasks"), "{text}");
         assert!(text.contains("fleet_waves"), "{text}");
         assert!(text.contains("fleet_wave_s"), "{text}");
         // The trace side outputs exist and parse: Perfetto JSON with the
@@ -2122,7 +2176,6 @@ mod tests {
             .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
             .collect();
         assert!(names.contains(&"fleet_wave_suggest"), "{names:?}");
-        assert!(names.contains(&"shard"), "{names:?}");
         assert!(names.contains(&"task"), "{names:?}");
         assert!(names.contains(&"suggest"), "{names:?}");
         let prom_text = std::fs::read_to_string(&prom_path).unwrap();

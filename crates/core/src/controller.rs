@@ -6,14 +6,13 @@
 //! event-log meta-features, the controller injects warm-start
 //! configurations from the top-3 most similar previous tasks (§5.2).
 //!
-//! At fleet scale the task map is hashed into [`FleetOptions::shards`]
-//! deterministic shards so batched waves (see [`crate::fleet`]) can fan
-//! per-task work across a worker pool, one shard per worker, without any
-//! cross-task locking. Cross-task meta-knowledge — base-task surrogates and
-//! pairwise distances — lives in a fleet-wide [`SharedMetaStore`], and the
-//! similarity model `M_reg` is refit on a schedule (every
-//! [`FleetOptions::n_refit`] reports, or when the eligible source-task set
-//! changes) instead of per report.
+//! At fleet scale each task sits behind its own lock in one task map, so
+//! batched waves (see [`crate::fleet`]) can fan per-task work across a
+//! worker pool without any cross-task locking. Cross-task meta-knowledge
+//! — base-task surrogates and pairwise distances — lives in a fleet-wide
+//! [`SharedMetaStore`], and the similarity model `M_reg` is refit on a
+//! schedule (every [`FleetOptions::n_refit`] reports, or when the eligible
+//! source-task set changes) instead of per report.
 
 use crate::fleet::{FleetOptions, FleetReport};
 use crate::repository::DataRepository;
@@ -77,10 +76,10 @@ pub(crate) struct SimilarityState {
 /// The multi-task online tuning service.
 pub struct OnlineTuneController {
     pub(crate) repository: Arc<DataRepository>,
-    /// Task map hashed into `fleet.shards` disjoint shards. Single-task
-    /// calls go through `Mutex::get_mut` (no locking); batched waves lock
-    /// each shard from exactly one pool worker.
-    pub(crate) shards: Vec<Mutex<HashMap<TaskHandle, TaskEntry>>>,
+    /// Task map with one lock per task. Single-task calls go through
+    /// `Mutex::get_mut` (no locking); batched waves lock each task from
+    /// exactly one pool worker.
+    pub(crate) tasks: HashMap<TaskHandle, Mutex<TaskEntry>>,
     pub(crate) fleet: FleetOptions,
     /// Fleet-wide read-only meta-knowledge, shared by every task's tuner.
     pub(crate) shared_meta: Arc<SharedMetaStore>,
@@ -93,24 +92,13 @@ pub struct OnlineTuneController {
     pub(crate) telemetry: Telemetry,
 }
 
-/// FNV-1a over the task id: stable across processes, so a task always maps
-/// to the same shard regardless of registration order or platform.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 pub(crate) fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl OnlineTuneController {
     /// A controller with a fresh repository and fleet options from the
-    /// environment (`OTUNE_SHARDS`, `OTUNE_THREADS`).
+    /// environment (`OTUNE_THREADS`).
     pub fn new() -> Self {
         Self::with_repository(Arc::new(DataRepository::new()))
     }
@@ -120,13 +108,12 @@ impl OnlineTuneController {
         Self::with_options(repository, FleetOptions::from_env())
     }
 
-    /// A controller with explicit fleet options (shard count, refit
-    /// schedule, wave pool).
+    /// A controller with explicit fleet options (refit schedule, wave
+    /// pool).
     pub fn with_options(repository: Arc<DataRepository>, fleet: FleetOptions) -> Self {
-        let n_shards = fleet.shards.max(1);
         OnlineTuneController {
             repository,
-            shards: (0..n_shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            tasks: HashMap::new(),
             fleet,
             shared_meta: Arc::new(SharedMetaStore::new()),
             sim: SimilarityState::default(),
@@ -139,7 +126,6 @@ impl OnlineTuneController {
     /// Attach a telemetry handle; tasks created afterwards emit their
     /// events through task-labeled clones of it.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        telemetry.gauge(metric::FLEET_SHARDS, self.shards.len() as f64);
         self.telemetry = telemetry;
     }
 
@@ -173,20 +159,28 @@ impl OnlineTuneController {
         self.shared_meta.set_corpus(corpus);
     }
 
-    /// The shard index a handle hashes to.
-    pub(crate) fn shard_of(&self, handle: &TaskHandle) -> usize {
-        (fnv1a(handle.as_str()) % self.shards.len() as u64) as usize
-    }
-
     /// Lock-free (via `&mut`) access to a task's entry.
     pub(crate) fn entry_mut(&mut self, handle: &TaskHandle) -> Option<&mut TaskEntry> {
-        let idx = self.shard_of(handle);
-        unpoison(self.shards[idx].get_mut()).get_mut(handle)
+        self.tasks.get_mut(handle).map(|m| unpoison(m.get_mut()))
     }
 
-    /// Lock a shard (batched waves: exactly one worker per shard).
-    pub(crate) fn lock_shard(&self, idx: usize) -> MutexGuard<'_, HashMap<TaskHandle, TaskEntry>> {
-        unpoison(self.shards[idx].lock())
+    /// Lock a task's entry (batched waves: exactly one worker per task).
+    pub(crate) fn lock_entry(&self, handle: &TaskHandle) -> Option<MutexGuard<'_, TaskEntry>> {
+        self.tasks.get(handle).map(|m| unpoison(m.lock()))
+    }
+
+    /// Insert (or replace) a task's entry and publish the fleet size.
+    fn insert_entry(&mut self, handle: TaskHandle, tuner: OnlineTuner, telemetry: Telemetry) {
+        self.tasks.insert(
+            handle,
+            Mutex::new(TaskEntry {
+                tuner,
+                warm_injected: false,
+                telemetry,
+            }),
+        );
+        self.telemetry
+            .gauge(metric::FLEET_TASKS, self.n_tasks() as f64);
     }
 
     /// Register a tuning task. Returns its handle.
@@ -207,17 +201,7 @@ impl OnlineTuneController {
         let mut tuner = OnlineTuner::new(space, options);
         tuner.set_telemetry(telemetry.clone());
         tuner.set_shared_meta(Arc::clone(&self.shared_meta));
-        let idx = self.shard_of(&handle);
-        unpoison(self.shards[idx].get_mut()).insert(
-            handle.clone(),
-            TaskEntry {
-                tuner,
-                warm_injected: false,
-                telemetry,
-            },
-        );
-        self.telemetry
-            .gauge(metric::FLEET_TASKS, self.n_tasks() as f64);
+        self.insert_entry(handle.clone(), tuner, telemetry);
         handle
     }
 
@@ -251,7 +235,7 @@ impl OnlineTuneController {
     /// Re-register a task from a [`crate::TunerSnapshot`]: the tuner is
     /// rebuilt via [`OnlineTuner::resume`] (replaying its suggestion trace
     /// and verifying bitwise identity), attached to the controller's
-    /// telemetry and shared meta store, and inserted under its shard. Used
+    /// telemetry and shared meta store, and inserted into the task map. Used
     /// by the job engine to restore campaign state from a checkpoint.
     pub fn restore_task(
         &mut self,
@@ -264,17 +248,7 @@ impl OnlineTuneController {
         let telemetry = self.telemetry.for_task(task_id);
         let mut tuner = OnlineTuner::resume(space, options, snap, telemetry.clone())?;
         tuner.set_shared_meta(Arc::clone(&self.shared_meta));
-        let idx = self.shard_of(&handle);
-        unpoison(self.shards[idx].get_mut()).insert(
-            handle.clone(),
-            TaskEntry {
-                tuner,
-                warm_injected: false,
-                telemetry,
-            },
-        );
-        self.telemetry
-            .gauge(metric::FLEET_TASKS, self.n_tasks() as f64);
+        self.insert_entry(handle.clone(), tuner, telemetry);
         Ok(handle)
     }
 
@@ -308,7 +282,7 @@ impl OnlineTuneController {
 
     /// Number of registered tasks.
     pub fn n_tasks(&self) -> usize {
-        self.shards.iter().map(|s| unpoison(s.lock()).len()).sum()
+        self.tasks.len()
     }
 
     /// A task's lifecycle state.
@@ -356,10 +330,7 @@ impl OnlineTuneController {
         };
         let repository = Arc::clone(&self.repository);
         let shared = Arc::clone(&self.shared_meta);
-        let idx = self.shard_of(handle);
-        let entry = unpoison(self.shards[idx].get_mut())
-            .get_mut(handle)
-            .ok_or(ControllerError::UnknownTask)?;
+        let entry = self.entry_mut(handle).ok_or(ControllerError::UnknownTask)?;
         let inject = Self::absorb_report(&repository, &shared, entry, &report)?;
         self.sim.reports_since_refit += 1;
         if let Some(features) = inject {
@@ -465,10 +436,8 @@ impl OnlineTuneController {
         handle: &TaskHandle,
         f: impl FnOnce(&TaskEntry) -> R,
     ) -> Result<R, ControllerError> {
-        let idx = self.shard_of(handle);
-        unpoison(self.shards[idx].lock())
-            .get(handle)
-            .map(f)
+        self.lock_entry(handle)
+            .map(|e| f(&e))
             .ok_or(ControllerError::UnknownTask)
     }
 
@@ -516,8 +485,7 @@ impl OnlineTuneController {
         let Some(model) = self.sim.model.as_ref() else {
             return;
         };
-        let idx = self.shard_of(handle);
-        let Some(entry) = unpoison(self.shards[idx].get_mut()).get_mut(handle) else {
+        let Some(entry) = self.tasks.get_mut(handle).map(|m| unpoison(m.get_mut())) else {
             return;
         };
         let warm = warm_start_configs_with(model, features, &sources, n_sources, &entry.telemetry);
@@ -791,40 +759,5 @@ mod tests {
         assert_eq!(observed, reference);
         assert_eq!(recording.shared_meta().corpus_len(), 6);
         assert_eq!(plain.shared_meta().corpus_len(), 0);
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic() {
-        let repo = Arc::new(DataRepository::new());
-        let mut ctl = OnlineTuneController::with_options(
-            repo,
-            FleetOptions {
-                shards: 4,
-                ..FleetOptions::default()
-            },
-        );
-        let handles: Vec<TaskHandle> = (0..16)
-            .map(|i| {
-                ctl.create_task(
-                    &format!("task-{i}"),
-                    toy_space(),
-                    TunerOptions {
-                        budget: 2,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        assert_eq!(ctl.n_tasks(), 16);
-        // Same id, same shard — and every task is findable.
-        for h in &handles {
-            let a = ctl.shard_of(h);
-            let b = ctl.shard_of(&TaskHandle(Arc::from(h.as_str())));
-            assert_eq!(a, b);
-            assert!(ctl.state(h).is_ok());
-        }
-        // Shards partition the fleet.
-        let total: usize = (0..4).map(|i| ctl.lock_shard(i).len()).sum();
-        assert_eq!(total, 16);
     }
 }

@@ -1,14 +1,15 @@
-//! Fleet execution layer: batched waves over the sharded task map.
+//! Fleet execution layer: batched waves over the per-task locked task map.
 //!
 //! The deployed service (§6) tunes tens of thousands of periodic tasks per
 //! day; driving them one `request_config`/`report_result` at a time leaves
 //! the controller single-threaded and re-does cross-task work per task.
 //! This module adds the fleet hot path:
 //!
-//! * **Sharding** — the task map is hashed into [`FleetOptions::shards`]
-//!   disjoint shards ([`super::controller`]). A batched wave groups its
-//!   requests by shard and fans the groups across [`FleetOptions::pool`],
-//!   one worker per shard, so no two workers ever touch the same task.
+//! * **Per-task fan-out** — every task sits behind its own lock in the
+//!   controller's task map ([`super::controller`]). A batched wave groups
+//!   its items by task, keeping input order within each task, and fans the
+//!   groups across [`FleetOptions::pool`], so no two workers ever touch the
+//!   same task.
 //! * **Batched APIs** — [`OnlineTuneController::request_configs`] and
 //!   [`OnlineTuneController::report_results`] process a whole wave of
 //!   per-task suggest/observe work and return per-request results in input
@@ -19,23 +20,18 @@
 //! the step itself. Within a wave, each task's requests are processed in
 //! input order. A task's suggestion trace is therefore bitwise identical
 //! whether it is driven sequentially or through waves, at any
-//! `OTUNE_SHARDS` and any `OTUNE_THREADS`, and regardless of how tasks are
-//! interleaved across waves. The one scoped exception: warm-start
-//! injection reads the shared repository, so traces of tasks using
-//! meta-feature transfer depend (as they always have) on the order in
-//! which *other* tasks' results arrive. Waves apply injections in a
-//! deterministic post-wave phase in request order.
+//! `OTUNE_THREADS`, and regardless of how tasks are interleaved across
+//! waves. The one scoped exception: warm-start injection reads the shared
+//! repository, so traces of tasks using meta-feature transfer depend (as
+//! they always have) on the order in which *other* tasks' results arrive.
+//! Waves apply injections in a deterministic post-wave phase in request
+//! order.
 
-use crate::controller::{ControllerError, OnlineTuneController, TaskHandle};
+use crate::controller::{ControllerError, OnlineTuneController, TaskEntry, TaskHandle};
 use otune_pool::Pool;
 use otune_space::Configuration;
 use otune_telemetry::{metric, trace_key};
-
-/// Environment variable selecting the shard count.
-pub const SHARDS_ENV: &str = "OTUNE_SHARDS";
-
-/// Default shard count when `OTUNE_SHARDS` is unset.
-const DEFAULT_SHARDS: usize = 8;
+use std::collections::HashMap;
 
 /// Default reports between scheduled similarity-model refits.
 const DEFAULT_N_REFIT: usize = 32;
@@ -43,27 +39,18 @@ const DEFAULT_N_REFIT: usize = 32;
 /// Fleet-level controller options.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Shards the task map is hashed into (≥ 1). Only affects how batched
-    /// waves parallelize, never any suggestion.
-    pub shards: usize,
     /// Reports between scheduled similarity-model refits. The model is
     /// also refit whenever the eligible source-task set changes.
     pub n_refit: usize,
-    /// Pool fanning wave shard-groups across workers.
+    /// Pool fanning a wave's per-task groups across workers.
     pub pool: Pool,
 }
 
 impl FleetOptions {
-    /// Options from the environment: `OTUNE_SHARDS` for the shard count,
-    /// `OTUNE_THREADS` (via [`Pool::from_env`]) for the wave pool.
+    /// Options from the environment: `OTUNE_THREADS` (via
+    /// [`Pool::from_env`]) for the wave pool.
     pub fn from_env() -> Self {
-        let shards = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_SHARDS);
         FleetOptions {
-            shards,
             n_refit: DEFAULT_N_REFIT,
             pool: Pool::from_env(),
         }
@@ -104,21 +91,49 @@ pub struct FleetReport<'a> {
 }
 
 impl OnlineTuneController {
-    /// Group wave items by shard: `(shard index, input indices)` with each
-    /// group preserving input order, so per-task request order is exactly
-    /// the input order.
-    fn shard_groups<'h>(
+    /// Run `step` for every wave item, one pool task per task handle.
+    /// Items for the same task run on one worker in input order, under
+    /// that task's lock and inside a keyed `task` span parented by the
+    /// wave root. Results come back in input order.
+    fn fan_out<'h, R: Send>(
         &self,
-        handles: impl Iterator<Item = &'h TaskHandle>,
-    ) -> Vec<(usize, Vec<usize>)> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        handles: impl ExactSizeIterator<Item = &'h TaskHandle>,
+        step: impl Fn(usize, &mut TaskEntry) -> Result<R, ControllerError> + Sync,
+    ) -> Vec<Result<R, ControllerError>> {
+        let n = handles.len();
+        let mut group_of: HashMap<&TaskHandle, usize> = HashMap::new();
+        let mut groups: Vec<(&TaskHandle, Vec<usize>)> = Vec::new();
         for (i, h) in handles.enumerate() {
-            groups[self.shard_of(h)].push(i);
+            let g = *group_of.entry(h).or_insert_with(|| {
+                groups.push((h, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(i);
         }
-        groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
+        let ctx = self.telemetry.trace_ctx();
+        let per_group = self.fleet.pool.map(&groups, |_, (handle, idxs)| {
+            let _adopted = self.telemetry.trace_adopt(ctx.clone());
+            let mut entry = self.lock_entry(handle);
+            idxs.iter()
+                .map(|&i| {
+                    let _task_trace = self
+                        .telemetry
+                        .trace_span_keyed("task", trace_key(handle.as_str()));
+                    let res = match entry.as_deref_mut() {
+                        Some(entry) => step(i, entry),
+                        None => Err(ControllerError::UnknownTask),
+                    };
+                    (i, res)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut out: Vec<Option<Result<R, ControllerError>>> = Vec::with_capacity(n);
+        out.resize_with(n, || None);
+        for (i, res) in per_group.into_iter().flatten() {
+            out[i] = Some(res);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every wave item produces a result"))
             .collect()
     }
 
@@ -132,38 +147,18 @@ impl OnlineTuneController {
     ) -> Vec<Result<Configuration, ControllerError>> {
         let span = self.telemetry.span(metric::FLEET_WAVE_S);
         let wave_trace = self.telemetry.trace_span("fleet_wave_suggest");
-        let ctx = self.telemetry.trace_ctx();
         self.telemetry.incr(metric::FLEET_WAVES);
         self.telemetry
             .add(metric::FLEET_REQUESTS, requests.len() as u64);
-        let groups = self.shard_groups(requests.iter().map(|r| r.handle));
-        let pool = self.fleet.pool.clone();
-        let this = &*self;
-        let per_group: Vec<Vec<(usize, Result<Configuration, ControllerError>)>> =
-            pool.map(&groups, |_, (shard_idx, idxs)| {
-                let _adopted = this.telemetry.trace_adopt(ctx.clone());
-                let _shard_trace = this.telemetry.trace_span_keyed("shard", *shard_idx as u64);
-                let mut shard = this.lock_shard(*shard_idx);
-                idxs.iter()
-                    .map(|&i| {
-                        let req = &requests[i];
-                        let _task_trace = this
-                            .telemetry
-                            .trace_span_keyed("task", trace_key(req.handle.as_str()));
-                        let res = match shard.get_mut(req.handle) {
-                            Some(entry) => entry
-                                .tuner
-                                .suggest(req.context)
-                                .map_err(ControllerError::Tuner),
-                            None => Err(ControllerError::UnknownTask),
-                        };
-                        (i, res)
-                    })
-                    .collect()
-            });
+        let out = self.fan_out(requests.iter().map(|r| r.handle), |i, entry| {
+            entry
+                .tuner
+                .suggest(requests[i].context)
+                .map_err(ControllerError::Tuner)
+        });
         wave_trace.finish();
         drop(span);
-        scatter(requests.len(), per_group)
+        out
     }
 
     /// Step 2, batched (Figure 1): absorb a wave of execution results. The
@@ -176,37 +171,14 @@ impl OnlineTuneController {
     ) -> Vec<Result<(), ControllerError>> {
         let span = self.telemetry.span(metric::FLEET_WAVE_S);
         let wave_trace = self.telemetry.trace_span("fleet_wave_report");
-        let ctx = self.telemetry.trace_ctx();
         self.telemetry.incr(metric::FLEET_WAVES);
         self.telemetry
             .add(metric::FLEET_REPORTS, reports.len() as u64);
-        let groups = self.shard_groups(reports.iter().map(|r| r.handle));
-        let pool = self.fleet.pool.clone();
-        let this = &*self;
-        type Absorbed = Vec<(usize, Result<Option<Vec<f64>>, ControllerError>)>;
-        let per_group: Vec<Absorbed> = pool.map(&groups, |_, (shard_idx, idxs)| {
-            let _adopted = this.telemetry.trace_adopt(ctx.clone());
-            let _shard_trace = this.telemetry.trace_span_keyed("shard", *shard_idx as u64);
-            let mut shard = this.lock_shard(*shard_idx);
-            idxs.iter()
-                .map(|&i| {
-                    let rep = &reports[i];
-                    let _task_trace = this
-                        .telemetry
-                        .trace_span_keyed("task", trace_key(rep.handle.as_str()));
-                    let res = match shard.get_mut(rep.handle) {
-                        Some(entry) => {
-                            Self::absorb_report(&this.repository, &this.shared_meta, entry, rep)
-                        }
-                        None => Err(ControllerError::UnknownTask),
-                    };
-                    (i, res)
-                })
-                .collect()
+        let absorbed = self.fan_out(reports.iter().map(|r| r.handle), |i, entry| {
+            Self::absorb_report(&self.repository, &self.shared_meta, entry, &reports[i])
         });
         wave_trace.finish();
         drop(span);
-        let absorbed = scatter(reports.len(), per_group);
         // Deterministic post-wave phase: refit bookkeeping and warm-start
         // injections in input order.
         absorbed
@@ -222,20 +194,6 @@ impl OnlineTuneController {
             })
             .collect()
     }
-}
-
-/// Scatter `(input index, result)` pairs back into input order.
-fn scatter<R>(n: usize, per_group: Vec<Vec<(usize, R)>>) -> Vec<R> {
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    for group in per_group {
-        for (i, r) in group {
-            out[i] = Some(r);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every wave item produces a result"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -259,11 +217,10 @@ mod tests {
         (400.0 / n + 30.0 / m + 10.0, n * (1.0 + 0.5 * m))
     }
 
-    fn controller(shards: usize, threads: usize) -> OnlineTuneController {
+    fn controller(threads: usize) -> OnlineTuneController {
         OnlineTuneController::with_options(
             Arc::new(DataRepository::new()),
             FleetOptions {
-                shards,
                 n_refit: 32,
                 pool: Pool::new(threads),
             },
@@ -279,7 +236,7 @@ mod tests {
             ..Default::default()
         };
         // Sequentially driven reference fleet.
-        let mut seq = controller(1, 1);
+        let mut seq = controller(1);
         let seq_handles: Vec<TaskHandle> = (0..n_tasks)
             .map(|i| seq.create_task(&format!("task-{i}"), toy_space(), opts.clone()))
             .collect();
@@ -292,8 +249,8 @@ mod tests {
                 seq_traces[t].push(cfg);
             }
         }
-        // Wave-driven fleet, sharded and parallel.
-        let mut fleet = controller(4, 4);
+        // Wave-driven fleet on a parallel pool.
+        let mut fleet = controller(4);
         let handles: Vec<TaskHandle> = (0..n_tasks)
             .map(|i| fleet.create_task(&format!("task-{i}"), toy_space(), opts.clone()))
             .collect();
@@ -337,13 +294,13 @@ mod tests {
     /// to completion, then `n_cold` tasks registered with pre-known
     /// features and driven through batched waves. Returns the cold tasks'
     /// suggestion traces.
-    fn cold_start_traces(shards: usize, threads: usize) -> Vec<Vec<Configuration>> {
+    fn cold_start_traces(threads: usize) -> Vec<Vec<Configuration>> {
         let (n_seed, n_cold, budget) = (4, 6, 3);
         let opts = TunerOptions {
             budget,
             ..Default::default()
         };
-        let mut fleet = controller(shards, threads);
+        let mut fleet = controller(threads);
         fleet.set_corpus(otune_meta::TuningCorpus::in_memory());
         for s in 0..n_seed {
             let h = fleet.create_task(&format!("seed-{s}"), toy_space(), opts.clone());
@@ -406,22 +363,22 @@ mod tests {
 
     #[test]
     fn retrieval_bootstrap_is_identical_at_any_shard_and_thread_count() {
-        // k-NN retrieval reads a corpus built by interleaved shard workers;
+        // k-NN retrieval reads a corpus built by interleaved pool workers;
         // the bootstrap (and every downstream suggestion) must not depend
-        // on OTUNE_SHARDS / OTUNE_THREADS.
-        let reference = cold_start_traces(1, 1);
-        for (shards, threads) in [(2, 2), (4, 4), (8, 3)] {
+        // on OTUNE_THREADS.
+        let reference = cold_start_traces(1);
+        for threads in [2, 3, 4] {
             assert_eq!(
-                cold_start_traces(shards, threads),
+                cold_start_traces(threads),
                 reference,
-                "trace diverged at shards={shards} threads={threads}"
+                "trace diverged at threads={threads}"
             );
         }
     }
 
     #[test]
     fn wave_results_come_back_in_input_order() {
-        let mut fleet = controller(4, 2);
+        let mut fleet = controller(2);
         let ha = fleet.create_task(
             "a",
             toy_space(),
@@ -452,7 +409,7 @@ mod tests {
         // Two requests for the same task in one wave: the second must fail
         // deterministically (a suggestion is already pending), exactly as
         // it would when driven sequentially.
-        let mut fleet = controller(2, 2);
+        let mut fleet = controller(2);
         let h = fleet.create_task(
             "dup",
             toy_space(),
@@ -479,7 +436,7 @@ mod tests {
     #[test]
     fn fleet_telemetry_counts_waves() {
         let (tm, _sink) = otune_telemetry::Telemetry::ring(64);
-        let mut fleet = controller(2, 1);
+        let mut fleet = controller(1);
         fleet.set_telemetry(tm);
         let h = fleet.create_task(
             "t",
@@ -508,7 +465,6 @@ mod tests {
         assert_eq!(snap.counters[metric::FLEET_WAVES], 2);
         assert_eq!(snap.counters[metric::FLEET_REQUESTS], 1);
         assert_eq!(snap.counters[metric::FLEET_REPORTS], 1);
-        assert_eq!(snap.gauges[metric::FLEET_SHARDS], 2.0);
         assert_eq!(snap.gauges[metric::FLEET_TASKS], 1.0);
         assert_eq!(snap.histograms[metric::FLEET_WAVE_S].count, 2);
     }

@@ -56,13 +56,13 @@ pub mod tuner;
 
 pub use context::{calendar_context, datasize_context};
 pub use controller::{ControllerError, OnlineTuneController, TaskHandle, TaskState};
-pub use fleet::{FleetOptions, FleetReport, FleetRequest, SHARDS_ENV};
+pub use fleet::{FleetOptions, FleetReport, FleetRequest};
 pub use generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 pub use objective::{Constraints, Objective};
 pub use otune_gp::SparseGpConfig;
-pub use repository::{DataRepository, SnapshotLog, SnapshotRecovery};
+pub use repository::DataRepository;
 pub use snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
-pub use tuner::{OnlineTuner, TunerOptions};
+pub use tuner::{metrics_are_valid, OnlineTuner, TunerOptions};
 
 /// The observability layer, re-exported so applications can attach
 /// sinks without a direct `otune-telemetry` dependency.

@@ -140,6 +140,10 @@ pub enum TunerError {
     /// suggestion. The pending suggestion stays pending; the report is
     /// rejected instead of poisoning the runhistory (or panicking).
     SuggestionMismatch,
+    /// The report carried a non-finite, zero or negative runtime (a
+    /// failed run's partial runtime may be zero), or a non-finite or
+    /// negative resource. The pending suggestion stays pending.
+    InvalidMetric,
 }
 
 impl std::fmt::Display for TunerError {
@@ -155,11 +159,24 @@ impl std::fmt::Display for TunerError {
                     "observed configuration does not match the pending suggestion"
                 )
             }
+            TunerError::InvalidMetric => {
+                write!(f, "reported runtime or resource is not a valid measurement")
+            }
         }
     }
 }
 
 impl std::error::Error for TunerError {}
+
+/// Whether a run's reported metrics are usable measurements: runtime and
+/// resource finite and not negative, and the runtime positive unless the
+/// run failed (a killed run may die before using any time).
+/// [`OnlineTuner::observe`] and [`OnlineTuner::observe_failed`] reject
+/// reports that fail this check with [`TunerError::InvalidMetric`].
+pub fn metrics_are_valid(runtime_s: f64, resource: f64, failed: bool) -> bool {
+    let measure = |x: f64| x.is_finite() && x >= 0.0;
+    measure(runtime_s) && measure(resource) && (failed || runtime_s > 0.0)
+}
 
 /// The online tuner for one periodic Spark job.
 ///
@@ -468,11 +485,7 @@ impl OnlineTuner {
         resource: f64,
         context: &[f64],
     ) -> Result<(), TunerError> {
-        let pending = self.pending.take().ok_or(TunerError::NoPendingSuggestion)?;
-        if pending.config != config {
-            self.pending = Some(pending);
-            return Err(TunerError::SuggestionMismatch);
-        }
+        self.take_pending(&config, metrics_are_valid(runtime_s, resource, false))?;
         let _trace = self.telemetry.trace_span("observe");
         let objective = self.objective.eval(runtime_s, resource);
 
@@ -519,11 +532,10 @@ impl OnlineTuner {
         resource: f64,
         context: &[f64],
     ) -> Result<(), TunerError> {
-        let pending = self.pending.take().ok_or(TunerError::NoPendingSuggestion)?;
-        if pending.config != config {
-            self.pending = Some(pending);
-            return Err(TunerError::SuggestionMismatch);
-        }
+        self.take_pending(
+            &config,
+            metrics_are_valid(partial_runtime_s, resource, true),
+        )?;
         let censored = self.censored_runtime(partial_runtime_s);
         self.telemetry.incr(metric::RUN_FAILURES);
 
@@ -567,6 +579,27 @@ impl OnlineTuner {
         });
         self.round_iterations += 1;
         Ok(())
+    }
+
+    /// Consume the pending suggestion for a report of `config`. A report
+    /// for another configuration or with invalid metrics is rejected and
+    /// leaves the suggestion pending.
+    fn take_pending(
+        &mut self,
+        config: &Configuration,
+        metrics_valid: bool,
+    ) -> Result<(), TunerError> {
+        let pending = self.pending.take().ok_or(TunerError::NoPendingSuggestion)?;
+        let rejected = if pending.config != *config {
+            TunerError::SuggestionMismatch
+        } else if !metrics_valid {
+            self.telemetry.incr(metric::INVALID_REPORTS);
+            TunerError::InvalidMetric
+        } else {
+            return Ok(());
+        };
+        self.pending = Some(pending);
+        Err(rejected)
     }
 
     /// The censored runtime recorded for a failed run. Deterministic in
@@ -925,6 +958,45 @@ mod tests {
         // The pending suggestion survived the bad reports.
         tuner.observe(cfg, 1.0, 1.0, &[]).unwrap();
         assert_eq!(tuner.history().len(), 1);
+    }
+
+    #[test]
+    fn invalid_metrics_are_rejected_and_never_become_the_incumbent() {
+        for bad in [f64::NAN, 0.0, -5.0] {
+            let (telemetry, _sink) = Telemetry::ring(64);
+            let mut tuner = make_tuner(TunerOptions {
+                budget: 25,
+                ..Default::default()
+            });
+            tuner.set_telemetry(telemetry.clone());
+            for i in 1..=25 {
+                let cfg = tuner.suggest(&[]).unwrap();
+                let (rt, r) = (toy_runtime(&cfg), toy_resource(&cfg));
+                if i == 12 {
+                    assert_eq!(
+                        tuner.observe(cfg.clone(), bad, r, &[]).unwrap_err(),
+                        TunerError::InvalidMetric
+                    );
+                    assert_eq!(
+                        tuner
+                            .observe_failed(cfg.clone(), rt, bad - 1.0, &[])
+                            .unwrap_err(),
+                        TunerError::InvalidMetric
+                    );
+                }
+                if i == 20 {
+                    // A failed run may die before using any time.
+                    tuner.observe_failed(cfg, 0.0, r, &[]).unwrap();
+                } else {
+                    tuner.observe(cfg, rt, r, &[]).unwrap();
+                }
+            }
+            assert_eq!(tuner.history().len(), 25);
+            let best = tuner.best().unwrap().objective;
+            assert!(best.is_finite() && best > 0.0, "bad={bad}: best {best}");
+            let snap = telemetry.snapshot().unwrap();
+            assert_eq!(snap.counters[metric::INVALID_REPORTS], 2);
+        }
     }
 
     #[test]

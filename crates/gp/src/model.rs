@@ -418,38 +418,28 @@ impl GaussianProcess {
 
     /// The noisy covariance `K + τ²I` over the training inputs.
     ///
-    /// With blocked kernels enabled (the default), the lower triangle is
-    /// assembled row-by-row on the packed kind-grouped layout, four
-    /// entries per pass; each entry performs the identical operation
-    /// sequence as [`MixedKernel::eval`], so both paths produce
-    /// bitwise-identical matrices (pinned by proptests).
+    /// The lower triangle is assembled row-by-row on the packed
+    /// kind-grouped layout, four entries per pass; each entry performs the
+    /// identical operation sequence as [`MixedKernel::eval`], so the
+    /// matrix is bitwise identical to pairwise `eval` (pinned by
+    /// proptests).
     fn build_cov(kernel: &MixedKernel, x: &[Vec<f64>]) -> Result<Matrix, GpError> {
         let n = x.len();
         let mut k = Matrix::zeros(n, n);
-        if otune_linalg::simd::enabled() {
-            thread_local! {
-                static SCRATCH: RefCell<(PackedSet, Vec<f64>)> = RefCell::new(Default::default());
-            }
-            SCRATCH.with(|s| {
-                let (packed, hamming) = &mut *s.borrow_mut();
-                kernel.pack_rows(x.iter().map(Vec::as_slice), packed);
-                kernel.hamming_table_into(packed.n_cat(), hamming);
-                for i in 0..n {
-                    kernel.eval_rows_packed(packed.row(i), packed, i + 1, hamming, k.row_mut(i));
-                }
-            });
+        thread_local! {
+            static SCRATCH: RefCell<(PackedSet, Vec<f64>)> = RefCell::new(Default::default());
+        }
+        SCRATCH.with(|s| {
+            let (packed, hamming) = &mut *s.borrow_mut();
+            kernel.pack_rows(x.iter().map(Vec::as_slice), packed);
+            kernel.hamming_table_into(packed.n_cat(), hamming);
             for i in 0..n {
-                for j in 0..i {
-                    k[(j, i)] = k[(i, j)];
-                }
+                kernel.eval_rows_packed(packed.row(i), packed, i + 1, hamming, k.row_mut(i));
             }
-        } else {
-            for i in 0..n {
-                for j in 0..=i {
-                    let v = kernel.eval(&x[i], &x[j]);
-                    k[(i, j)] = v;
-                    k[(j, i)] = v;
-                }
+        });
+        for i in 0..n {
+            for j in 0..i {
+                k[(j, i)] = k[(i, j)];
             }
         }
         k.add_diagonal(kernel.hyper.noise_var)?;
@@ -780,44 +770,30 @@ impl GaussianProcess {
         }
         scratch.mean.clear();
         scratch.mean.resize(m, 0.0);
-        if otune_linalg::simd::enabled() {
-            // Blocked cross-kernel assembly: pack both sides by feature
-            // kind, then stream each train row against four candidates at
-            // a time. Per (i, j) pair the operation sequence matches the
-            // scalar `eval` loop exactly, and the mean accumulates its
-            // `i` terms in the same ascending order — bitwise-identical
-            // output, one branch-free pass per row.
-            self.kernel
-                .pack_rows(self.x.iter().map(Vec::as_slice), &mut scratch.train_packed);
-            self.kernel
-                .pack_rows(xs.iter().map(Vec::as_slice), &mut scratch.cand_packed);
-            self.kernel
-                .hamming_table_into(scratch.cand_packed.n_cat(), &mut scratch.hamming);
-            for i in 0..n {
-                let alpha_i = self.alpha[i];
-                let row = scratch.kc.row_mut(i);
-                self.kernel.eval_rows_packed(
-                    scratch.train_packed.row(i),
-                    &scratch.cand_packed,
-                    m,
-                    &scratch.hamming,
-                    row,
-                );
-                for (mj, &k) in scratch.mean.iter_mut().zip(row.iter()) {
-                    *mj += k * alpha_i;
-                }
-            }
-        } else {
-            for i in 0..n {
-                let xi = &self.x[i];
-                let alpha_i = self.alpha[i];
-                let row = scratch.kc.row_mut(i);
-                for (j, x) in xs.iter().enumerate() {
-                    debug_assert_eq!(x.len(), self.kernel.dim());
-                    let k = self.kernel.eval(xi, x);
-                    row[j] = k;
-                    scratch.mean[j] += k * alpha_i;
-                }
+        // Blocked cross-kernel assembly: pack both sides by feature kind,
+        // then stream each train row against four candidates at a time.
+        // Per (i, j) pair the operation sequence matches the scalar `eval`
+        // loop exactly, and the mean accumulates its `i` terms in the same
+        // ascending order — bitwise-identical output, one branch-free pass
+        // per row.
+        self.kernel
+            .pack_rows(self.x.iter().map(Vec::as_slice), &mut scratch.train_packed);
+        self.kernel
+            .pack_rows(xs.iter().map(Vec::as_slice), &mut scratch.cand_packed);
+        self.kernel
+            .hamming_table_into(scratch.cand_packed.n_cat(), &mut scratch.hamming);
+        for i in 0..n {
+            let alpha_i = self.alpha[i];
+            let row = scratch.kc.row_mut(i);
+            self.kernel.eval_rows_packed(
+                scratch.train_packed.row(i),
+                &scratch.cand_packed,
+                m,
+                &scratch.hamming,
+                row,
+            );
+            for (mj, &k) in scratch.mean.iter_mut().zip(row.iter()) {
+                *mj += k * alpha_i;
             }
         }
         // Kc now holds the cross-kernel; overwrite it with V = L⁻¹ Kc.

@@ -22,8 +22,8 @@ use crate::event::{
 use crate::journal::Journal;
 use crate::spec::CampaignSpec;
 use otune_core::{
-    ControllerError, FleetOptions, FleetRequest, OnlineTuneController, ResumeError, TaskHandle,
-    TunerOptions,
+    metrics_are_valid, ControllerError, FleetOptions, FleetRequest, OnlineTuneController,
+    ResumeError, TaskHandle, TunerOptions,
 };
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{hibench_task, ClusterSpec, FaultProfile, HibenchTask, ScriptedFault, SimJob};
@@ -134,6 +134,12 @@ pub enum JobError {
         /// The unexpected task index.
         task: usize,
     },
+    /// A reported result carries a runtime or resource the tuner would
+    /// reject (see [`otune_core::metrics_are_valid`]).
+    InvalidReport {
+        /// The task whose result is invalid.
+        task: usize,
+    },
     /// A checkpoint's task list does not match the spec's tasks.
     CheckpointMismatch {
         /// The mismatching task index.
@@ -181,6 +187,12 @@ impl std::fmt::Display for JobError {
             }
             JobError::UnknownReportTask { task } => {
                 write!(f, "report names task {task} with no pending item")
+            }
+            JobError::InvalidReport { task } => {
+                write!(
+                    f,
+                    "report for task {task} has an invalid runtime or resource"
+                )
             }
             JobError::CheckpointMismatch { task } => {
                 write!(f, "checkpoint task {task} does not match the campaign spec")
@@ -678,8 +690,9 @@ impl JobEngine {
     }
 
     /// Report a wave's results. The batch must cover every pending item
-    /// exactly. Observations are fed to the tuners (censored for failed
-    /// runs), the retry/DLQ policy is applied, and the wave commits with
+    /// exactly, with valid metrics; otherwise the wave stays pending.
+    /// Observations are fed to the tuners (censored for failed runs), the
+    /// retry/DLQ policy is applied, and the wave commits with
     /// a `WaveCompleted` journal append; a periodic checkpoint and/or the
     /// job's completion follow per the spec.
     pub fn report_wave(&mut self, results: &[ItemResult]) -> Result<u64, JobError> {
@@ -692,10 +705,19 @@ impl JobEngine {
         }
         let mut batch = Vec::with_capacity(pending.items.len());
         for item in &pending.items {
-            match results.iter().find(|r| r.task == item.task) {
-                Some(r) => batch.push(r.clone()),
+            let task = item.task;
+            match results.iter().find(|r| r.task == task) {
+                Some(r) if metrics_are_valid(r.runtime_s, r.resource, r.is_failure()) => {
+                    batch.push(r.clone())
+                }
+                // Rejected before any tuner sees the wave, so a bad item
+                // cannot leave the wave half-applied.
+                Some(_) => {
+                    self.pending = Some(pending);
+                    self.telemetry.incr(metric::INVALID_REPORTS);
+                    return Err(JobError::InvalidReport { task });
+                }
                 None => {
-                    let task = item.task;
                     self.pending = Some(pending);
                     return Err(JobError::IncompleteReport { task });
                 }

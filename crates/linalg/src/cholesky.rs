@@ -90,18 +90,15 @@ impl Cholesky {
     /// observed; the upper triangle stays zero from the initial
     /// allocation.
     ///
-    /// Dispatches to the 4-lane blocked panel kernel unless `OTUNE_SIMD=0`;
-    /// both paths produce bitwise-identical factors (pinned by proptests).
+    /// Runs the 4-lane blocked panel kernel, which produces factors
+    /// bitwise identical to the scalar reference loop (pinned by
+    /// proptests).
     fn try_factor_into(
         a: &Matrix,
         jitter: f64,
         l: &mut Matrix,
     ) -> std::result::Result<(), (usize, f64)> {
-        if crate::simd::enabled() {
-            Self::try_factor_into_blocked(a, jitter, l)
-        } else {
-            Self::try_factor_into_scalar(a, jitter, l)
-        }
+        Self::try_factor_into_blocked(a, jitter, l)
     }
 
     /// Scalar reference factorization loop. Kept verbatim as the bitwise
@@ -354,11 +351,7 @@ impl Cholesky {
     /// The batched layout just turns the inner loop into contiguous row
     /// operations.
     pub fn solve_lower_batch_in_place(&self, b: &mut Matrix) -> Result<()> {
-        if crate::simd::enabled() {
-            self.solve_lower_batch_in_place_blocked(b)
-        } else {
-            self.solve_lower_batch_in_place_scalar(b)
-        }
+        self.solve_lower_batch_in_place_blocked(b)
     }
 
     /// Scalar reference multi-RHS forward substitution. Kept verbatim as

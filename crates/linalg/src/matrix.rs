@@ -178,11 +178,7 @@ impl Matrix {
     /// order from `0.0`, so the result is bitwise identical to the naive
     /// triple loop (and to [`Matrix::matmul_into`]).
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if crate::simd::enabled() {
-            self.matmul_blocked(other)
-        } else {
-            self.matmul_scalar(other)
-        }
+        self.matmul_blocked(other)
     }
 
     /// Scalar reference product: transposed-B tiles with one fold per

@@ -25,7 +25,7 @@
 //! Determinism contract: ties in neighbor distance break on the lower
 //! task index (first-seen append order), all sorting uses `total_cmp`,
 //! and the blend is a fixed-order weighted sum — so retrieval output is
-//! bitwise-identical across thread counts, shard counts, and platforms
+//! bitwise-identical across thread counts, arrival orders, and platforms
 //! given the same corpus file.
 
 use otune_space::{ConfigSpace, Configuration};
@@ -276,7 +276,7 @@ impl TuningCorpus {
     ///
     /// Column values are sorted (`total_cmp`) before summation, so the
     /// statistics are bitwise-independent of record order — a corpus
-    /// built by interleaved fleet shards standardizes identically to a
+    /// built by interleaved fleet workers standardizes identically to a
     /// sequentially built one.
     pub fn compute_stats(&self, dim: usize) -> Option<CorpusStats> {
         let rows: Vec<&[f64]> = self
@@ -372,7 +372,7 @@ impl TuningCorpus {
                 }
             }
         }
-        // Fleet shards append in nondeterministic cross-task order; sorting
+        // Fleet workers append in nondeterministic cross-task order; sorting
         // by task id makes the index (and its `nearest` tie-breaking)
         // bitwise-independent of how the corpus was interleaved.
         order.sort_by(|a, b| a.task_id.cmp(&b.task_id));

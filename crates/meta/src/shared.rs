@@ -119,7 +119,7 @@ impl SharedMetaStore {
             telemetry.incr(metric::SHARED_META_HITS);
             return entry.clone();
         }
-        // Fit outside the lock so concurrent shards never serialize on a
+        // Fit outside the lock so concurrent workers never serialize on a
         // fit. A racing duplicate fit produces the identical entry (the fit
         // is pure), so last-write-wins is harmless.
         telemetry.incr(metric::SHARED_META_MISSES);

@@ -206,7 +206,7 @@ impl Telemetry {
     }
 
     /// Open a trace span whose id is pinned by a caller-chosen key
-    /// (task hash, shard index, candidate index) — required for spans
+    /// (task hash, candidate index) — required for spans
     /// opened concurrently under one parent.
     pub fn trace_span_keyed(&self, name: &'static str, key: u64) -> TraceSpan {
         self.trace_open(name, Some(key))
@@ -476,14 +476,14 @@ mod tests {
             let t = t.clone();
             std::thread::spawn(move || {
                 let _guard = t.trace_adopt(ctx);
-                let _shard = t.trace_span_keyed("shard", 5);
+                let _task = t.trace_span_keyed("task", 5);
             })
         };
         handle.join().unwrap();
         drop(root);
         let spans = t.traces();
-        let shard = spans.iter().find(|s| s.name == "shard").unwrap();
-        assert_eq!(shard.parent_id, root_id);
+        let task = spans.iter().find(|s| s.name == "task").unwrap();
+        assert_eq!(task.parent_id, root_id);
     }
 
     #[test]

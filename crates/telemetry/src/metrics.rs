@@ -53,14 +53,14 @@ pub mod metric {
     /// Counter: production runs reported as failed (OOM, `T_max` kill)
     /// and recorded as censored observations.
     pub const RUN_FAILURES: &str = "run_failures";
+    /// Counter: result reports rejected for a non-finite, zero or
+    /// negative runtime or a non-finite or negative resource.
+    pub const INVALID_REPORTS: &str = "invalid_reports";
     /// Counter: failure-streak fallbacks to the last known-safe
     /// configuration (`τ_consec` consecutive failed runs).
     pub const FALLBACKS_TRIGGERED: &str = "fallbacks_triggered";
     /// Counter: tuner state reconstructions from a snapshot.
     pub const RESUMES: &str = "resumes";
-    /// Gauge: shards the fleet controller hashes its task map into
-    /// (`OTUNE_SHARDS`).
-    pub const FLEET_SHARDS: &str = "fleet_shards";
     /// Gauge: tasks currently registered with the fleet controller.
     pub const FLEET_TASKS: &str = "fleet_tasks";
     /// Counter: batched request/report waves executed.
@@ -90,8 +90,8 @@ pub mod metric {
     /// Counter: suggest iterations where the local-subset sparse GP
     /// replaced the exact surrogate (history past the sparse threshold).
     pub const SUBSET_GP_ACTIVATIONS: &str = "subset_gp_activations";
-    /// Gauge: cumulative 4-lane blocks executed by the SIMD-style
-    /// linalg/kernel paths (0 when `OTUNE_SIMD=0` forces scalar).
+    /// Gauge: cumulative 4-lane blocks executed by the blocked
+    /// linalg/kernel paths.
     pub const SIMD_BLOCKS: &str = "simd_blocks";
     /// Counter: zero-execution first suggestions served from the corpus
     /// retrieval index (a neighbor cleared the similarity threshold).

@@ -177,8 +177,8 @@ pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<Event>> {
 /// Read an event stream tolerating torn or corrupt lines (a crash
 /// mid-write leaves a truncated tail; concurrent writers can interleave
 /// garbage). Parseable events are returned oldest first together with
-/// the number of skipped lines — mirrors `SnapshotLog`'s crash-recovery
-/// contract: damage is reported, never silently swallowed.
+/// the number of skipped lines — the same crash-recovery contract as the
+/// job journal: damage is reported, never silently swallowed.
 pub fn read_jsonl_lossy<P: AsRef<Path>>(path: P) -> io::Result<(Vec<Event>, u64)> {
     let reader = BufReader::new(File::open(path)?);
     let mut events = Vec::new();

@@ -3,15 +3,15 @@
 //!
 //! A *trace* is one top-level operation — a fleet wave, a standalone
 //! `suggest`, an `observe` — decomposed into a tree of named spans
-//! (wave → shard → task → tuner step → generator phase → surrogate fit →
+//! (wave → task → tuner step → generator phase → surrogate fit →
 //! Cholesky/EIC kernels). Design constraints, in order:
 //!
 //! * **Deterministic identity.** Trace, span, and parent IDs are derived
 //!   from a seed, the span's name, and its position in the tree — never
 //!   from the wall clock or allocation addresses — so the *structure* of a
-//!   trace is bitwise-identical across runs, pool widths, and shard
-//!   counts. Only the timing fields (`start_ns`/`dur_ns`) and the worker
-//!   id vary; [`structural_key`] strips exactly those.
+//!   trace is bitwise-identical across runs and pool widths. Only the
+//!   timing fields (`start_ns`/`dur_ns`) and the worker id vary;
+//!   [`structural_key`] strips exactly those.
 //! * **Zero overhead when off.** A handle without tracing returns an
 //!   inert guard: no clock read, no allocation, no thread-local touch
 //!   beyond one branch.
@@ -19,7 +19,7 @@
 //!   call stack via a thread-local span stack. Across threads (pool
 //!   workers), the caller captures a [`TraceCtx`] and the worker adopts
 //!   it; parallel siblings must use [`Telemetry::trace_span_keyed`] with a
-//!   caller-chosen key (task hash, shard index, candidate index) so their
+//!   caller-chosen key (task hash, candidate index) so their
 //!   IDs do not depend on scheduling order.
 //!
 //! Closed spans are buffered in-memory (bounded, with a dropped-span
@@ -413,8 +413,8 @@ pub fn spans_from_events(events: &[crate::Event]) -> Vec<SpanRecord> {
 
 /// The deterministic identity of a span set: every field except the
 /// measurements (`worker`, `start_ns`, `dur_ns`), sorted canonically.
-/// Two runs of the same seeded workload — at any `OTUNE_THREADS` or
-/// `OTUNE_SHARDS` — produce equal structural keys.
+/// Two runs of the same seeded workload — at any `OTUNE_THREADS` —
+/// produce equal structural keys.
 pub fn structural_key(spans: &[SpanRecord]) -> Vec<(u64, u64, u64, String, String)> {
     let mut key: Vec<_> = spans
         .iter()

@@ -61,13 +61,13 @@ fn lossy_reader_survives_torn_tail_and_mid_stream_corruption() {
 fn jsonl_sink_under_concurrent_fleet_waves_loses_nothing() {
     let path = temp_path("concurrent.jsonl");
     let telemetry = Telemetry::new(Box::new(JsonlSink::create(&path).unwrap()));
-    // Eight "shard workers" interleave whole waves of emissions through
+    // Eight pool workers interleave whole waves of emissions through
     // clones of one handle, as the fleet controller does.
     let waves = 50u64;
     let workers = 8u64;
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let telemetry = telemetry.for_task(&format!("shard-{w}"));
+            let telemetry = telemetry.for_task(&format!("worker-{w}"));
             scope.spawn(move || {
                 for i in 0..waves {
                     telemetry.emit(i, EventKind::AgdStep { accepted: true });

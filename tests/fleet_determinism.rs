@@ -1,8 +1,8 @@
 //! Fleet determinism: a task's suggestion trace is bitwise identical
 //! whether it is driven sequentially or through batched waves — at any
-//! shard count (`OTUNE_SHARDS`), any pool width (`OTUNE_THREADS`), and
-//! under any interleaving of tasks across waves. Sharding decides *where*
-//! a task's step runs, never *what* it computes.
+//! pool width (`OTUNE_THREADS`) and under any interleaving of tasks across
+//! waves. The pool decides *where* a task's step runs, never *what* it
+//! computes.
 
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::prelude::*;
@@ -46,17 +46,6 @@ fn bits(space: &ConfigSpace, cfg: &Configuration) -> Vec<u64> {
     space.encode(cfg).iter().map(|v| v.to_bits()).collect()
 }
 
-/// FNV-1a over the task id — mirrors the controller's shard hash, which is
-/// documented stable across processes and platforms.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn register_fleet(ctl: &mut OnlineTuneController) -> Vec<TaskHandle> {
     (0..N_TASKS)
         .map(|i| ctl.create_task(&format!("fleet-task-{i}"), toy_space(), toy_options(i)))
@@ -67,14 +56,7 @@ fn register_fleet(ctl: &mut OnlineTuneController) -> Vec<TaskHandle> {
 /// API, one full step at a time.
 fn sequential_traces() -> Vec<Trace> {
     let space = toy_space();
-    let mut ctl = OnlineTuneController::with_options(
-        Arc::new(DataRepository::new()),
-        FleetOptions {
-            shards: 1,
-            n_refit: 32,
-            pool: Pool::new(1),
-        },
-    );
+    let mut ctl = pooled_controller(1);
     let handles = register_fleet(&mut ctl);
     let mut traces: Vec<Trace> = vec![Vec::new(); N_TASKS];
     for _ in 0..BUDGET {
@@ -132,11 +114,10 @@ fn wave_traces(
     traces
 }
 
-fn sharded_controller(shards: usize, threads: usize) -> OnlineTuneController {
+fn pooled_controller(threads: usize) -> OnlineTuneController {
     OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
         FleetOptions {
-            shards,
             n_refit: 32,
             pool: Pool::new(threads),
         },
@@ -147,11 +128,9 @@ fn round_robin(_wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
     (0..handles.len()).collect()
 }
 
-/// All of one shard's tasks, then the next shard's (4-way grouping).
-fn shard_major(_wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
-    let mut idxs: Vec<usize> = (0..handles.len()).collect();
-    idxs.sort_by_key(|&t| (fnv1a(handles[t].as_str()) % 4, t));
-    idxs
+/// Registration order reversed: the last task steps first.
+fn reversed(_wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
+    (0..handles.len()).rev().collect()
 }
 
 /// A deterministic per-wave shuffle (LCG-driven Fisher-Yates).
@@ -176,20 +155,20 @@ fn wave_traces_match_sequential_bitwise_across_shards_and_interleavings() {
     type OrderFn = fn(u64, &[TaskHandle]) -> Vec<usize>;
     let orders: [(&str, OrderFn); 3] = [
         ("round-robin", round_robin),
-        ("shard-major", shard_major),
+        ("reversed", reversed),
         ("seeded-shuffle", seeded_shuffle),
     ];
-    for shards in [1usize, 4] {
+    for threads in [1usize, 4] {
         for (name, order) in orders {
-            let traces = wave_traces(sharded_controller(shards, 4), order);
+            let traces = wave_traces(pooled_controller(threads), order);
             assert_eq!(
                 traces, golden,
-                "interleaving {name} with {shards} shard(s) changed a task trace"
+                "interleaving {name} on a {threads}-thread pool changed a task trace"
             );
         }
     }
-    // And under whatever OTUNE_SHARDS / OTUNE_THREADS the environment (CI
-    // matrix) selects.
+    // And under whatever OTUNE_THREADS the environment (CI matrix)
+    // selects.
     let traces = wave_traces(OnlineTuneController::new(), round_robin);
     assert_eq!(traces, golden, "env-configured fleet changed a task trace");
 }

@@ -1,9 +1,9 @@
 //! Kill-and-resume crash recovery: a tuner that snapshots after every
 //! observation and is "killed" and resumed at every iteration boundary
-//! must reproduce the uninterrupted run's suggestion trace bitwise, and
-//! the snapshot JSONL log must survive torn writes.
+//! must reproduce the uninterrupted run's suggestion trace bitwise, and a
+//! snapshot persisted as JSON must resume the campaign.
 
-use otune_core::{OnlineTuner, SnapshotLog, TunerOptions};
+use otune_core::{OnlineTuner, TunerOptions, TunerSnapshot};
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{hibench_task, ClusterSpec, FaultKind, FaultProfile, HibenchTask, SimJob};
 use otune_telemetry::{metric, EventKind, Telemetry};
@@ -130,27 +130,28 @@ fn resume_through_the_jsonl_log_counts_and_emits() {
     let job = job(seed, t_max);
 
     let path = std::env::temp_dir().join(format!(
-        "otune-resume-integration-{}.jsonl",
+        "otune-resume-integration-{}.json",
         std::process::id()
     ));
-    let _ = std::fs::remove_file(&path);
-    let log = SnapshotLog::new(&path);
 
-    // First "process": 8 iterations, snapshotting after each observe.
+    // First "process": 8 iterations, persisting a snapshot after each
+    // observe.
     let mut tuner = seeded_tuner(seed, t_max, baseline.runtime_s, baseline.resource);
     for t in 1..=8u64 {
         step(&mut tuner, &job, t);
-        log.append(&tuner.snapshot("wc")).unwrap();
+        let json = serde_json::to_string(&tuner.snapshot("wc")).unwrap();
+        std::fs::write(&path, json).unwrap();
     }
     let before_kill: Vec<_> = tuner.history().iter().map(|o| o.config.clone()).collect();
     drop(tuner); // the "crash"
 
-    // Second "process": load the newest snapshot and keep going.
-    let snap = log.load_last().unwrap().expect("snapshots were written");
+    // Second "process": load the persisted snapshot and keep going.
+    let snap: TunerSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(snap.task_id, "wc");
     let (telemetry, sink) = Telemetry::ring(64);
     let mut tuner = OnlineTuner::resume(space(), opts(seed, t_max), &snap, telemetry.clone())
-        .expect("log snapshot replays");
+        .expect("persisted snapshot replays");
     let after: Vec<_> = tuner.history().iter().map(|o| o.config.clone()).collect();
     assert_eq!(before_kill, after, "history reconstructed exactly");
 

@@ -1,6 +1,6 @@
 //! Hierarchical tracing against the full service: driving fleet waves
 //! through the controller must produce one coherent span tree per wave —
-//! wave → shard → task → suggest → surrogate/acquisition kernels — whose
+//! wave → task → suggest → surrogate/acquisition kernels — whose
 //! *structure* is a pure function of the workload: identical across pool
 //! widths, reconstructible from the JSONL event stream, and absent
 //! entirely on untraced handles.
@@ -34,12 +34,11 @@ fn toy_eval(task: usize, c: &Configuration) -> (f64, f64) {
 }
 
 /// Drive `N_TASKS` toy tasks through `BUDGET` batched waves on a
-/// controller with the given sharding/pool layout.
-fn drive_fleet(telemetry: Telemetry, shards: usize, threads: usize) -> Telemetry {
+/// controller with the given pool width.
+fn drive_fleet(telemetry: Telemetry, threads: usize) -> Telemetry {
     let mut ctl = OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
         FleetOptions {
-            shards,
             n_refit: 32,
             pool: Pool::new(threads),
         },
@@ -119,7 +118,7 @@ fn name_counts(spans: &[SpanRecord]) -> BTreeMap<&str, usize> {
 #[test]
 fn fleet_wave_spans_nest_through_the_full_stack() {
     let (telemetry, _sink) = Telemetry::ring_traced(1, 11);
-    let telemetry = drive_fleet(telemetry, 2, 2);
+    let telemetry = drive_fleet(telemetry, 2);
     let spans = telemetry.traces();
     assert!(!spans.is_empty());
     assert_eq!(telemetry.traces_dropped(), 0, "buffer held the whole run");
@@ -131,10 +130,9 @@ fn fleet_wave_spans_nest_through_the_full_stack() {
     // BUDGET report waves, each a distinct trace.
     assert_eq!(counts["fleet_wave_suggest"], BUDGET);
     assert_eq!(counts["fleet_wave_report"], BUDGET);
-    // Every task stepped in every suggest wave, inside a shard group.
+    // Every task stepped in every wave, inside its own task span.
     assert_eq!(counts["suggest"], N_TASKS * BUDGET);
     assert_eq!(counts["task"], 2 * N_TASKS * BUDGET);
-    assert!(counts["shard"] >= 2 * BUDGET, "both wave kinds sharded");
 
     // The documented hierarchy holds at every level.
     for s in &spans {
@@ -142,11 +140,11 @@ fn fleet_wave_spans_nest_through_the_full_stack() {
             "fleet_wave_suggest" | "fleet_wave_report" => {
                 assert_eq!(s.parent_id, 0, "wave spans are trace roots")
             }
-            "shard" => {
+            "task" => {
                 let parent = by_id[&s.parent_id];
                 assert!(parent.name.starts_with("fleet_wave"), "{}", parent.name);
+                assert_eq!(parent.parent_id, 0, "task spans hang off the wave root");
             }
-            "task" => assert_eq!(by_id[&s.parent_id].name, "shard"),
             "suggest" | "observe" => assert_eq!(by_id[&s.parent_id].name, "task"),
             _ => {}
         }
@@ -177,8 +175,8 @@ fn fleet_wave_spans_nest_through_the_full_stack() {
 fn trace_structure_is_invariant_across_pool_widths() {
     let (seq, _s1) = Telemetry::ring_traced(1, 11);
     let (par, _s2) = Telemetry::ring_traced(1, 11);
-    let seq = drive_fleet(seq, 4, 1);
-    let par = drive_fleet(par, 4, 4);
+    let seq = drive_fleet(seq, 1);
+    let par = drive_fleet(par, 4);
     let a = seq.traces();
     let b = par.traces();
     assert_eq!(a.len(), b.len());
@@ -190,32 +188,16 @@ fn trace_structure_is_invariant_across_pool_widths() {
 }
 
 #[test]
-fn shard_count_moves_placement_but_not_per_task_work() {
-    let (one, _s1) = Telemetry::ring_traced(1, 11);
-    let (four, _s2) = Telemetry::ring_traced(1, 11);
-    let one = drive_fleet(one, 1, 1).traces();
-    let four = drive_fleet(four, 4, 1).traces();
-    let mut a = name_counts(&one);
-    let mut b = name_counts(&four);
-    // Shard spans are placement: their count tracks the layout.
-    assert!(a.remove("shard") < b.remove("shard"));
-    // Everything else — wave roots, per-task steps, kernel work — is
-    // identical, because sharding decides where a step runs, not what
-    // it computes.
-    assert_eq!(a, b);
-}
-
-#[test]
 fn untraced_and_disabled_handles_record_no_spans_under_fleet_load() {
     let (untraced, sink) = Telemetry::ring(1 << 16);
-    let untraced = drive_fleet(untraced, 2, 2);
+    let untraced = drive_fleet(untraced, 2);
     assert!(!untraced.is_tracing());
     assert!(untraced.traces().is_empty());
     // Metrics and events still flow; tracing is strictly opt-in.
     assert!(untraced.snapshot().unwrap().counters["fleet_waves"] >= 2);
     assert!(!sink.events().is_empty());
 
-    let disabled = drive_fleet(Telemetry::disabled(), 2, 2);
+    let disabled = drive_fleet(Telemetry::disabled(), 2);
     assert!(disabled.traces().is_empty());
     assert!(disabled.snapshot().is_none());
 }
@@ -224,7 +206,7 @@ fn untraced_and_disabled_handles_record_no_spans_under_fleet_load() {
 fn jsonl_stream_reconstructs_the_in_memory_trace() {
     let path = std::env::temp_dir().join("otune-trace-integration.jsonl");
     let telemetry = Telemetry::new_traced(Box::new(JsonlSink::create(&path).unwrap()), 11);
-    let telemetry = drive_fleet(telemetry, 2, 2);
+    let telemetry = drive_fleet(telemetry, 2);
     telemetry.flush();
 
     let (events, torn) = read_jsonl_lossy(&path).unwrap();
