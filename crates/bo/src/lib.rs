@@ -31,14 +31,11 @@ pub use acquisition::{
     eic, expected_improvement, lower_confidence_bound, prob_below, probability_of_improvement,
 };
 pub use agd::Agd;
-pub use observation::{best_observation, Observation};
+pub use observation::{best_observation, metrics_are_valid, Observation};
 pub use optimizer::{
     maximize_eic, maximize_eic_with, AcquisitionChoice, CandidateParams, EicObjective,
 };
 pub use safe::SafeRegion;
 pub use store::{history_fingerprint, observation_fingerprint, SurrogateCache, SurrogateStore};
 pub use subspace::{AdaptiveSubspace, SubspaceParams};
-pub use surrogate::{
-    fit_surrogate, fit_surrogate_pooled, fit_surrogate_with, surrogate_kinds, Predictor,
-    SurrogateInput,
-};
+pub use surrogate::{fit_surrogate, surrogate_kinds, Predictor, SurrogateInput};

@@ -37,6 +37,17 @@ impl Observation {
     }
 }
 
+/// Whether a run's reported metrics are usable measurements: runtime and
+/// resource finite and not negative, and the runtime positive unless the
+/// run failed (a killed run may die before using any time). Every
+/// boundary that takes metrics from outside — the tuner's `observe`, a
+/// job-engine report wave, the tuning corpus — rejects values that fail
+/// this check, so they never reach an incumbent or a retrieval index.
+pub fn metrics_are_valid(runtime_s: f64, resource: f64, failed: bool) -> bool {
+    let measure = |x: f64| x.is_finite() && x >= 0.0;
+    measure(runtime_s) && measure(resource) && (failed || runtime_s > 0.0)
+}
+
 /// The best (lowest-objective) feasible observation, falling back to the
 /// best overall when nothing is feasible.
 pub fn best_observation(

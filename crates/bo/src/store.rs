@@ -197,9 +197,7 @@ impl SurrogateCache {
                         Ok(outcome) => {
                             telemetry.incr(match outcome {
                                 UpdateOutcome::Incremental => metric::SURROGATE_INCREMENTAL_UPDATES,
-                                UpdateOutcome::Refactored | UpdateOutcome::JitterInvalidated => {
-                                    metric::SURROGATE_FULL_REFITS
-                                }
+                                UpdateOutcome::JitterInvalidated => metric::SURROGATE_FULL_REFITS,
                                 UpdateOutcome::HyperSearch(_) => metric::GP_HYPER_SEARCHES,
                             });
                             self.fps.push(fp);
@@ -468,7 +466,7 @@ mod tests {
         let obs = make_obs(&s, 12);
         let telemetry = registryd();
         // Disable re-searches so the extension path is pure.
-        let policy = IncrementalPolicy::never_research(true);
+        let policy = IncrementalPolicy::never_research();
         let mut cache = SurrogateCache::new(SurrogateInput::Runtime, policy);
         cache
             .prepare(&s, &obs[..10], 0, &telemetry, Pool::global())
@@ -602,39 +600,5 @@ mod tests {
         assert_eq!(va.to_bits(), vb.to_bits());
         let snap = telemetry.snapshot().unwrap();
         assert!(!snap.counters.contains_key(metric::SUBSET_GP_ACTIVATIONS));
-    }
-
-    #[test]
-    fn both_modes_build_identical_models() {
-        let s = space();
-        let obs = make_obs(&s, 14);
-        let telemetry = Telemetry::disabled();
-        let mut arms = [true, false].map(|enabled| {
-            SurrogateCache::new(
-                SurrogateInput::Objective,
-                IncrementalPolicy {
-                    enabled,
-                    ..IncrementalPolicy::default()
-                },
-            )
-        });
-        let probe = encode_with_context(&s, &obs[0].config, &[0.3]);
-        let mut preds = Vec::new();
-        for cache in &mut arms {
-            cache
-                .prepare(&s, &obs[..3], 0, &telemetry, Pool::global())
-                .unwrap();
-            let mut gp = None;
-            for n in 4..=obs.len() {
-                gp = Some(
-                    cache
-                        .prepare(&s, &obs[..n], 0, &telemetry, Pool::global())
-                        .unwrap(),
-                );
-            }
-            let (m, v) = gp.unwrap().predict(&probe);
-            preds.push((m.to_bits(), v.to_bits()));
-        }
-        assert_eq!(preds[0], preds[1]);
     }
 }

@@ -4,7 +4,6 @@ use crate::observation::Observation;
 use otune_gp::{FeatureKind, GaussianProcess, GpConfig, GpError};
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, DimKind};
-use otune_telemetry::{metric, Telemetry};
 
 /// Anything that yields a posterior `(mean, variance)` at an encoded
 /// point — a plain GP or the meta-learning ensemble surrogate.
@@ -69,7 +68,8 @@ pub fn encode_with_context(
     v
 }
 
-/// Fit a GP on the runhistory for the chosen metric.
+/// Fit a GP on the runhistory for the chosen metric, running the
+/// hyperparameter search on the process-wide [`Pool::global`].
 ///
 /// Context widths must be consistent across observations; the context of
 /// the first observation defines the expected width.
@@ -79,34 +79,6 @@ pub fn fit_surrogate(
     input: SurrogateInput,
     seed: u64,
 ) -> Result<GaussianProcess, GpError> {
-    fit_surrogate_with(space, obs, input, seed, &Telemetry::disabled())
-}
-
-/// [`fit_surrogate`] with instrumentation: the fit is wrapped in a
-/// `gp_fit_s` timing span and the selected factor's jitter retries are
-/// counted. Uses the process-wide [`Pool::global`] for the
-/// hyperparameter search.
-pub fn fit_surrogate_with(
-    space: &ConfigSpace,
-    obs: &[Observation],
-    input: SurrogateInput,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> Result<GaussianProcess, GpError> {
-    fit_surrogate_pooled(space, obs, input, seed, telemetry, Pool::global())
-}
-
-/// [`fit_surrogate_with`] on an explicit worker pool.
-pub fn fit_surrogate_pooled(
-    space: &ConfigSpace,
-    obs: &[Observation],
-    input: SurrogateInput,
-    seed: u64,
-    telemetry: &Telemetry,
-    pool: &Pool,
-) -> Result<GaussianProcess, GpError> {
-    let _span = telemetry.span(metric::GP_FIT_S);
-    let _trace = telemetry.trace_span("gp_full_fit");
     if obs.is_empty() {
         return Err(GpError::Empty);
     }
@@ -123,7 +95,7 @@ pub fn fit_surrogate_pooled(
             SurrogateInput::Runtime => o.runtime,
         })
         .collect();
-    let gp = GaussianProcess::fit_traced(
+    GaussianProcess::fit(
         kinds,
         x,
         &y,
@@ -131,11 +103,7 @@ pub fn fit_surrogate_pooled(
             seed,
             ..GpConfig::default()
         },
-        pool,
-        telemetry,
-    )?;
-    telemetry.add(metric::CHOL_JITTER_RETRIES, u64::from(gp.jitter_retries()));
-    Ok(gp)
+    )
 }
 
 #[cfg(test)]

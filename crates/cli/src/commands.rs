@@ -6,7 +6,7 @@ use otune_bo::Observation;
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::telemetry::{
     attribute, chrome_trace_json, prometheus_text, read_jsonl, read_jsonl_lossy, spans_from_events,
-    AttributionReport, EventKind, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
+    AttributionReport, Event, EventKind, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
 };
 use otune_core::{Objective, OnlineTuneController, OnlineTuner, TaskHandle, TunerOptions};
 use otune_forest::Fanova;
@@ -845,10 +845,11 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
             let c = TuningCorpus::open(file)?;
             writeln!(
                 out,
-                "corpus {file}: {} record(s), {} task(s), {} torn line(s)",
+                "corpus {file}: {} record(s), {} task(s), {} torn line(s), {} rejected record(s)",
                 c.len(),
                 c.n_tasks(),
                 c.torn_lines(),
+                c.rejected_records(),
             )?;
             if let Some(width) = c.dominant_width() {
                 writeln!(out, "meta-feature width: {width} (dominant)")?;
@@ -1162,7 +1163,7 @@ fn stats_cmd(file: &str, json: bool, prom: bool, out: &mut dyn Write) -> std::io
 /// optionally write them as a Chrome-trace/Perfetto JSON file, and print
 /// per-phase latency attribution.
 fn trace_cmd(file: &str, out_path: Option<&str>, out: &mut dyn Write) -> std::io::Result<i32> {
-    let (events, torn) = match read_jsonl_lossy(file) {
+    let (events, torn) = match read_jsonl_lossy::<Event, _>(file) {
         Ok(r) => r,
         Err(e) => {
             writeln!(out, "cannot read {file}: {e}")?;
@@ -1254,7 +1255,7 @@ fn top_cmd(file: &str, watch: Option<f64>, out: &mut dyn Write) -> std::io::Resu
 }
 
 fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
-    let (events, torn) = match read_jsonl_lossy(file) {
+    let (events, torn) = match read_jsonl_lossy::<Event, _>(file) {
         Ok(r) => r,
         Err(e) => {
             writeln!(out, "cannot read {file}: {e}")?;

@@ -59,10 +59,11 @@ pub use controller::{ControllerError, OnlineTuneController, TaskHandle, TaskStat
 pub use fleet::{FleetOptions, FleetReport, FleetRequest};
 pub use generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 pub use objective::{Constraints, Objective};
+pub use otune_bo::metrics_are_valid;
 pub use otune_gp::SparseGpConfig;
 pub use repository::DataRepository;
 pub use snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
-pub use tuner::{metrics_are_valid, OnlineTuner, TunerOptions};
+pub use tuner::{OnlineTuner, TunerOptions};
 
 /// The observability layer, re-exported so applications can attach
 /// sinks without a direct `otune-telemetry` dependency.

@@ -5,7 +5,6 @@
 //! is the durable representation the Tencent deployment keeps in its
 //! storage service.
 
-use crate::snapshot::TunerSnapshot;
 use otune_bo::Observation;
 use otune_meta::TaskRecord;
 use parking_lot::RwLock;
@@ -15,10 +14,6 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct Repo {
     tasks: BTreeMap<String, TaskRecord>,
-    /// Latest crash-recovery snapshot per task (absent in repositories
-    /// exported before snapshots existed).
-    #[serde(default)]
-    snapshots: BTreeMap<String, TunerSnapshot>,
 }
 
 /// Thread-safe store of tuning history across tasks.
@@ -104,20 +99,6 @@ impl DataRepository {
             .collect()
     }
 
-    /// Store a task's latest crash-recovery snapshot (replacing any
-    /// previous one — only the newest is ever resumed).
-    pub fn record_snapshot(&self, snap: TunerSnapshot) {
-        self.inner
-            .write()
-            .snapshots
-            .insert(snap.task_id.clone(), snap);
-    }
-
-    /// A task's latest crash-recovery snapshot, if one was stored.
-    pub fn snapshot(&self, task_id: &str) -> Option<TunerSnapshot> {
-        self.inner.read().snapshots.get(task_id).cloned()
-    }
-
     /// Serialize the entire repository to JSON.
     pub fn export_json(&self) -> String {
         serde_json::to_string(&*self.inner.read()).expect("repository is always serializable")
@@ -191,42 +172,15 @@ mod tests {
         assert_eq!(t.observations.len(), 1);
     }
 
-    fn snap(task_id: &str, n_obs: usize) -> TunerSnapshot {
-        TunerSnapshot {
-            task_id: task_id.to_string(),
-            seed: 7,
-            budget: 20,
-            history: (0..n_obs).map(|i| obs(i as f64)).collect(),
-            seeded_idx: vec![0],
-            pending: None,
-            stopped: false,
-            degraded_streak: 0,
-            failure_streak: 1,
-            restarts: 0,
-            round_iterations: n_obs.saturating_sub(1),
-            own_records: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn snapshots_survive_json_round_trip() {
-        let repo = DataRepository::new();
-        repo.record_observation("t", obs(1.0));
-        repo.record_snapshot(snap("t", 3));
-        repo.record_snapshot(snap("t", 5)); // newest wins
-        let back = DataRepository::import_json(&repo.export_json()).unwrap();
-        let s = back.snapshot("t").unwrap();
-        assert_eq!(s.history.len(), 5);
-        assert_eq!(s.failure_streak, 1);
-        assert!(back.snapshot("other").is_none());
-    }
-
     #[test]
     fn old_exports_without_snapshots_still_import() {
-        // A pre-snapshot export has no `snapshots` key at all.
-        let json = r#"{"tasks": {}}"#;
+        // Older exports also carry a `snapshots` map; unknown keys are
+        // ignored, so they still import with their tasks intact.
+        let json = r#"{"tasks": {"t": {"task_id": "t", "meta_features": [0.5], "observations": []}},
+                       "snapshots": {"t": {"task_id": "t", "seed": 7}}}"#;
         let repo = DataRepository::import_json(json).unwrap();
-        assert!(repo.snapshot("t").is_none());
+        assert_eq!(repo.len(), 1);
+        assert_eq!(repo.meta_features("t"), Some(vec![0.5]));
     }
 
     #[test]
@@ -236,7 +190,7 @@ mod tests {
             "{",
             "[]",
             r#"{"tasks": 3}"#,
-            r#"{"tasks": {}, "snapshots": "nope"}"#,
+            r#"{"tasks": {"t": "nope"}}"#,
         ] {
             assert!(DataRepository::import_json(bad).is_err(), "{bad:?}");
         }
@@ -269,66 +223,22 @@ mod tests {
                 .prop_map(|v| v.into_iter().map(|c| (b'a' + c) as char).collect())
         }
 
-        fn any_snapshot() -> impl Strategy<Value = TunerSnapshot> {
-            (
-                any_task_id(),
-                any::<u64>(),
-                1usize..100,
-                proptest::collection::vec(any_obs(), 0..6),
-                any::<bool>(),
-                0usize..5,
-                0usize..5,
-                0usize..4,
-            )
-                .prop_map(
-                    |(
-                        task_id,
-                        seed,
-                        budget,
-                        history,
-                        stopped,
-                        degraded_streak,
-                        failure_streak,
-                        restarts,
-                    )| {
-                        let seeded_idx = if history.is_empty() { vec![] } else { vec![0] };
-                        let round_iterations = history.len().saturating_sub(seeded_idx.len());
-                        TunerSnapshot {
-                            task_id,
-                            seed,
-                            budget,
-                            history,
-                            seeded_idx,
-                            pending: None,
-                            stopped,
-                            degraded_streak,
-                            failure_streak,
-                            restarts,
-                            round_iterations,
-                            own_records: Vec::new(),
-                        }
-                    },
-                )
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// `import_json(export_json())` is the identity on the whole
-            /// repository — observations with failure flags and snapshot
-            /// fields included — verified via a second export.
+            /// repository — observations with failure flags included —
+            /// verified via a second export.
             #[test]
             fn export_import_is_identity(
                 observations in proptest::collection::vec(any_obs(), 1..8),
                 features in proptest::collection::vec(-5.0f64..5.0, 0..4),
-                snapshot in any_snapshot(),
             ) {
                 let repo = DataRepository::new();
                 for o in &observations {
                     repo.record_observation("t", o.clone());
                 }
                 repo.set_meta_features("t", features.clone());
-                repo.record_snapshot(snapshot.clone());
 
                 let json = repo.export_json();
                 let back = DataRepository::import_json(&json).unwrap();
@@ -339,23 +249,23 @@ mod tests {
                     prop_assert_eq!(a.failed, b.failed);
                     prop_assert_eq!(a.runtime.to_bits(), b.runtime.to_bits());
                 }
-                let s = back.snapshot(&snapshot.task_id).unwrap();
-                prop_assert_eq!(s.history.len(), snapshot.history.len());
-                prop_assert_eq!(s.failure_streak, snapshot.failure_streak);
-                prop_assert_eq!(s.stopped, snapshot.stopped);
             }
 
             /// Corrupt inputs — truncations, wrong types, junk — are
             /// rejected with `Err`, never a panic.
             #[test]
             fn corrupt_imports_error_gracefully(
-                snapshot in any_snapshot(),
+                task_id in any_task_id(),
+                observations in proptest::collection::vec(any_obs(), 0..6),
                 cut in 1usize..40,
                 junk_bytes in proptest::collection::vec(32u8..127, 0..40),
             ) {
                 let junk: String = junk_bytes.into_iter().map(char::from).collect();
                 let repo = DataRepository::new();
-                repo.record_snapshot(snapshot);
+                repo.set_meta_features(&task_id, vec![1.0]);
+                for o in observations {
+                    repo.record_observation(&task_id, o);
+                }
                 let json = repo.export_json();
                 // Truncation never parses (the document can't be complete).
                 let truncated = &json[..json.len().saturating_sub(cut)];

@@ -4,7 +4,7 @@
 use crate::generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 use crate::objective::{Constraints, Objective};
 use crate::snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
-use otune_bo::{best_observation, CandidateParams, Observation, SubspaceParams};
+use otune_bo::{best_observation, metrics_are_valid, CandidateParams, Observation, SubspaceParams};
 use otune_gp::{IncrementalPolicy, SparseGpConfig};
 use otune_meta::{EnsembleSurrogate, MetaCache, TaskRecord};
 use otune_pool::Pool;
@@ -84,7 +84,7 @@ pub struct TunerOptions {
     pub candidates: CandidateParams,
     /// Surrogate maintenance across iterations (rank-one factor updates,
     /// warm-started hyperparameter re-searches, fit caches). Defaults to
-    /// [`IncrementalPolicy::from_env`] (`OTUNE_INCREMENTAL`).
+    /// [`IncrementalPolicy::default`].
     pub incremental: IncrementalPolicy,
     /// Local-subset sparse GP for large histories (`None` = always exact).
     /// Defaults to [`SparseGpConfig::from_env`] (`OTUNE_SPARSE_GP`).
@@ -121,7 +121,7 @@ impl Default for TunerOptions {
             failure_penalty: 2.0,
             subspace: None,
             candidates: CandidateParams::default(),
-            incremental: IncrementalPolicy::from_env(),
+            incremental: IncrementalPolicy::default(),
             sparse_gp: SparseGpConfig::from_env(),
             seed: 0,
             pool: Pool::from_env(),
@@ -167,16 +167,6 @@ impl std::fmt::Display for TunerError {
 }
 
 impl std::error::Error for TunerError {}
-
-/// Whether a run's reported metrics are usable measurements: runtime and
-/// resource finite and not negative, and the runtime positive unless the
-/// run failed (a killed run may die before using any time).
-/// [`OnlineTuner::observe`] and [`OnlineTuner::observe_failed`] reject
-/// reports that fail this check with [`TunerError::InvalidMetric`].
-pub fn metrics_are_valid(runtime_s: f64, resource: f64, failed: bool) -> bool {
-    let measure = |x: f64| x.is_finite() && x >= 0.0;
-    measure(runtime_s) && measure(resource) && (failed || runtime_s > 0.0)
-}
 
 /// The online tuner for one periodic Spark job.
 ///

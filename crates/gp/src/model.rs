@@ -1,7 +1,6 @@
 //! Gaussian-process regression with LML-based hyperparameter fitting.
 
 use crate::kernel::{FeatureKind, KernelHyper, MixedKernel, PackedSet};
-use crate::sparse::{select_local_subset, SparseGpConfig};
 use otune_linalg::{Cholesky, LinalgError, Matrix};
 use otune_pool::Pool;
 use otune_telemetry::Telemetry;
@@ -57,12 +56,6 @@ pub struct GpConfig {
     /// (ahead of the defaults and the random draws); without, the fit
     /// uses exactly these hyperparameters — a "same-hyper full refit".
     pub warm_hyper: Option<KernelHyper>,
-    /// Local-subset sparse approximation: when set and the history
-    /// exceeds the threshold, [`GaussianProcess::fit_sparse_traced`]
-    /// fits on the `subset_size` nearest neighbours of the query center
-    /// instead of the full history. `None` keeps the exact GP (and the
-    /// bitwise determinism contract).
-    pub sparse: Option<SparseGpConfig>,
 }
 
 impl Default for GpConfig {
@@ -73,7 +66,6 @@ impl Default for GpConfig {
             n_refine: 3,
             seed: 0,
             warm_hyper: None,
-            sparse: None,
         }
     }
 }
@@ -85,18 +77,12 @@ impl Default for GpConfig {
 /// hyperparameter re-search runs only every [`refit_period`] updates or
 /// when the per-observation log marginal likelihood falls more than
 /// [`lml_degradation`] nats below the value recorded at the last full
-/// search. With `enabled == false` the same policy decisions are made
-/// (so both modes stay bitwise-identical) but the factor is rebuilt from
-/// scratch at the current hyperparameters — the `OTUNE_INCREMENTAL=0`
-/// baseline that isolates exactly the rank-one-update optimization.
+/// search.
 ///
 /// [`refit_period`]: IncrementalPolicy::refit_period
 /// [`lml_degradation`]: IncrementalPolicy::lml_degradation
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalPolicy {
-    /// Reuse the cached factor via rank-one extension (`true`) or rebuild
-    /// it from scratch at the same hyperparameters (`false`).
-    pub enabled: bool,
     /// Run a full hyperparameter re-search every this many updates
     /// (0 disables scheduled re-searches).
     pub refit_period: usize,
@@ -108,7 +94,6 @@ pub struct IncrementalPolicy {
 impl Default for IncrementalPolicy {
     fn default() -> Self {
         IncrementalPolicy {
-            enabled: true,
             refit_period: 16,
             lml_degradation: 1.0,
         }
@@ -116,30 +101,10 @@ impl Default for IncrementalPolicy {
 }
 
 impl IncrementalPolicy {
-    /// Defaults, with `enabled` read from `OTUNE_INCREMENTAL` (any value
-    /// other than `0` — including unset — enables factor reuse).
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("OTUNE_INCREMENTAL").map_or(true, |v| v != "0");
-        IncrementalPolicy {
-            enabled,
-            ..IncrementalPolicy::default()
-        }
-    }
-
-    /// The full-refit baseline: identical policy decisions, no factor
-    /// reuse.
-    pub fn full_refit() -> Self {
-        IncrementalPolicy {
-            enabled: false,
-            ..IncrementalPolicy::default()
-        }
-    }
-
     /// Never re-search hyperparameters — for fixed-hyper models that are
     /// extended point-by-point (e.g. progressive-validation fits).
-    pub fn never_research(enabled: bool) -> Self {
+    pub fn never_research() -> Self {
         IncrementalPolicy {
-            enabled,
             refit_period: 0,
             lml_degradation: f64::INFINITY,
         }
@@ -151,10 +116,6 @@ impl IncrementalPolicy {
 pub enum UpdateOutcome {
     /// O(n²) rank-one extension of the cached factor, hypers unchanged.
     Incremental,
-    /// From-scratch refactorization at the current hyperparameters and
-    /// jitter (the `enabled == false` baseline) — bitwise-identical
-    /// model state to [`UpdateOutcome::Incremental`].
-    Refactored,
     /// The cached jitter level could not absorb the new row; the factor
     /// was rebuilt with a fresh jitter ladder (hypers unchanged).
     JitterInvalidated,
@@ -387,35 +348,6 @@ impl GaussianProcess {
         })
     }
 
-    /// Sparse-aware fit: when `cfg.sparse` is set and the history
-    /// exceeds its threshold, fit an exact GP on the `subset_size`
-    /// training points nearest `center` under the default-hyper kernel
-    /// (see [`select_local_subset`]); otherwise fall through to the
-    /// exact [`GaussianProcess::fit_traced`]. Returns the fitted model
-    /// plus the selected indices (`None` when the fit stayed exact) so
-    /// callers can cache by subset identity and count activations.
-    pub fn fit_sparse_traced(
-        kinds: Vec<FeatureKind>,
-        x: &[Vec<f64>],
-        y: &[f64],
-        center: &[f64],
-        cfg: GpConfig,
-        pool: &Pool,
-        telemetry: &Telemetry,
-    ) -> Result<(Self, Option<Vec<usize>>), GpError> {
-        if let Some(sparse) = cfg.sparse {
-            if sparse.activates(x.len()) {
-                let idx = select_local_subset(&kinds, x, center, sparse.subset_size);
-                let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
-                let sub_y: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-                let gp = Self::fit_traced(kinds, sub_x, &sub_y, cfg, pool, telemetry)?;
-                return Ok((gp, Some(idx)));
-            }
-        }
-        let gp = Self::fit_traced(kinds, x.to_vec(), y, cfg, pool, telemetry)?;
-        Ok((gp, None))
-    }
-
     /// The noisy covariance `K + τ²I` over the training inputs.
     ///
     /// The lower triangle is assembled row-by-row on the packed
@@ -470,11 +402,12 @@ impl GaussianProcess {
     /// Absorb one new observation, reusing the fitted hyperparameters.
     ///
     /// The common path grows the cached Cholesky factor by one row in
-    /// O(n²) (`policy.enabled`) or rebuilds it from scratch at the stored
-    /// jitter level (`!policy.enabled`, the `OTUNE_INCREMENTAL=0`
-    /// baseline); both produce bitwise-identical model state, because the
-    /// extension replays exactly the floating-point operations of a
-    /// from-scratch factorization at the same jitter. A full pooled
+    /// O(n²). The model state is bitwise-identical to a same-hyper full
+    /// fit (`GpConfig { optimize_hypers: false, warm_hyper: Some(h) }`),
+    /// because the extension replays exactly the floating-point
+    /// operations of a from-scratch factorization at the same jitter.
+    /// When the stored jitter level cannot absorb the new row, the factor
+    /// is rebuilt with a fresh jitter ladder. A full pooled
     /// hyperparameter re-search — warm-started from the current winner —
     /// runs instead when `policy.refit_period` updates have accumulated,
     /// or afterwards when the per-observation LML has degraded more than
@@ -530,7 +463,7 @@ impl GaussianProcess {
 
         let snapshot = self.chol.clone();
         let extend_span = telemetry.trace_span("chol_extend");
-        let outcome = match self.regrow_factor(policy.enabled) {
+        let outcome = match self.regrow_factor() {
             Ok(outcome) => outcome,
             Err(e) => {
                 self.x.pop();
@@ -560,39 +493,25 @@ impl GaussianProcess {
     }
 
     /// Grow the factor for the just-appended observation at the current
-    /// hyperparameters. Both modes replay the stored jitter level; the
-    /// full jitter ladder runs only when that level no longer suffices,
-    /// and because appending a row leaves the leading pivots untouched,
-    /// the fixed-level attempt fails in both modes at the same point.
-    fn regrow_factor(&mut self, reuse_factor: bool) -> Result<UpdateOutcome, GpError> {
+    /// hyperparameters by rank-one extension at the stored jitter level;
+    /// the full jitter ladder runs only when that level no longer
+    /// suffices.
+    fn regrow_factor(&mut self) -> Result<UpdateOutcome, GpError> {
         let n = self.x.len() - 1;
-        if reuse_factor {
-            // Row i = n of the covariance, in the same evaluation order
-            // (and argument order) as `build_cov`.
-            let x_new = &self.x[n];
-            let mut row: Vec<f64> = self.x[..n]
-                .iter()
-                .map(|xj| self.kernel.eval(x_new, xj))
-                .collect();
-            row.push(self.kernel.eval(x_new, x_new) + self.kernel.hyper.noise_var);
-            match self.chol.extend_with_row(&row) {
-                Ok(()) => return Ok(UpdateOutcome::Incremental),
-                Err(LinalgError::NotPositiveDefinite { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            let k = Self::build_cov(&self.kernel, &self.x)?;
-            match Cholesky::decompose_with_jitter(&k, self.chol.jitter()) {
-                Ok(chol) => {
-                    self.chol = chol;
-                    return Ok(UpdateOutcome::Refactored);
-                }
-                Err(LinalgError::NotPositiveDefinite { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
+        // Row i = n of the covariance, in the same evaluation order (and
+        // argument order) as `build_cov`.
+        let x_new = &self.x[n];
+        let mut row: Vec<f64> = self.x[..n]
+            .iter()
+            .map(|xj| self.kernel.eval(x_new, xj))
+            .collect();
+        row.push(self.kernel.eval(x_new, x_new) + self.kernel.hyper.noise_var);
+        match self.chol.extend_with_row(&row) {
+            Ok(()) => return Ok(UpdateOutcome::Incremental),
+            Err(LinalgError::NotPositiveDefinite { .. }) => {}
+            Err(e) => return Err(e.into()),
         }
-        // Shared fallback: the stored jitter level is invalidated, rerun
-        // the full ladder (identical in both modes).
+        // The stored jitter level is invalidated: rerun the full ladder.
         let k = Self::build_cov(&self.kernel, &self.x)?;
         self.chol = Cholesky::decompose(&k)?;
         Ok(UpdateOutcome::JitterInvalidated)

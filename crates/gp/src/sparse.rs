@@ -25,7 +25,7 @@ use crate::kernel::{FeatureKind, KernelHyper, MixedKernel};
 /// Environment variable enabling the sparse GP with default parameters.
 pub const SPARSE_ENV: &str = "OTUNE_SPARSE_GP";
 
-/// Sparse-GP activation parameters (the [`crate::GpConfig`] feature flag).
+/// Sparse-GP activation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseGpConfig {
     /// Histories strictly larger than this stay exact.

@@ -40,7 +40,9 @@
 //!   resume repairs by re-driving the lost waves deterministically.
 
 use crate::event::{JobEvent, JournalEntry};
-use otune_telemetry::{metric, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
+use otune_telemetry::{
+    metric, read_jsonl_lossy, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics,
+};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -272,17 +274,13 @@ impl Journal {
     pub fn load(path: &Path) -> io::Result<JournalLoad> {
         let mut load = JournalLoad::default();
         for segment in Self::segments(path)? {
-            let bytes = match std::fs::read(&segment) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let text = String::from_utf8_lossy(&bytes);
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match serde_json::from_str::<JournalEntry>(line) {
-                    Ok(entry) => load.entries.push(entry),
-                    Err(_) => load.torn_lines += 1,
+            match read_jsonl_lossy::<JournalEntry, _>(&segment) {
+                Ok((entries, torn)) => {
+                    load.entries.extend(entries);
+                    load.torn_lines += torn;
                 }
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
             }
         }
         load.entries.sort_by_key(|e| e.seq);

@@ -209,8 +209,8 @@ impl Cholesky {
 
     /// Factor `a` at one *fixed* jitter level, without the retry ladder.
     ///
-    /// This is the replay primitive behind incremental surrogate
-    /// maintenance: refactoring a grown covariance matrix at the jitter
+    /// This is the reference that incremental surrogate maintenance is
+    /// tested against: refactoring a grown covariance matrix at the jitter
     /// the cached factor already carries performs the exact
     /// floating-point operation sequence of the cached prefix rows plus
     /// [`Cholesky::extend_with_row`] for the appended rows, so the two

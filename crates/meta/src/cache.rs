@@ -176,7 +176,7 @@ impl MetaCache {
         }
 
         let kinds = surrogate_kinds(space, 0);
-        let policy = IncrementalPolicy::never_research(self.policy.enabled);
+        let policy = IncrementalPolicy::never_research();
         let cfg = GpConfig {
             optimize_hypers: false,
             seed,
@@ -346,27 +346,5 @@ mod tests {
         cache.target_weight(&s, &history, 0, &tm);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::META_LOO_MEMO_HITS], 6);
-    }
-
-    #[test]
-    fn both_policy_modes_agree_on_weight() {
-        let s = space();
-        let history = obs(&s, 12, 5);
-        let tm = Telemetry::disabled();
-        let weights: Vec<u64> = [true, false]
-            .into_iter()
-            .map(|enabled| {
-                let mut cache = MetaCache::new(IncrementalPolicy {
-                    enabled,
-                    ..IncrementalPolicy::default()
-                });
-                let mut w = 0.0;
-                for n in 4..=history.len() {
-                    w = cache.target_weight(&s, &history[..n], 0, &tm);
-                }
-                w.to_bits()
-            })
-            .collect();
-        assert_eq!(weights[0], weights[1]);
     }
 }

@@ -7,7 +7,8 @@
 //! shared group-commit writer (one `sync_data` per line by default, one
 //! per batch under a lazy [`SyncPolicy`]) — so a crash mid-append tears
 //! at most the final line (or loses a staged-but-unflushed batch under
-//! a lazy policy), and loading simply skips lines that do not parse.
+//! a lazy policy), and loading skips lines that do not parse and
+//! records whose metrics are not usable measurements.
 //!
 //! On top of the corpus sits the [`RetrievalIndex`]: z-score-standardized
 //! k-nearest-neighbor search over the 75 meta-features. Standardization
@@ -28,8 +29,11 @@
 //! bitwise-identical across thread counts, arrival orders, and platforms
 //! given the same corpus file.
 
+use otune_bo::metrics_are_valid;
 use otune_space::{ConfigSpace, Configuration};
-use otune_telemetry::{metric, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
+use otune_telemetry::{
+    metric, read_jsonl_lossy, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -72,6 +76,14 @@ pub struct CorpusRecord {
     pub failed: bool,
 }
 
+/// Whether a record may enter the corpus: its runtime and resource pass
+/// [`metrics_are_valid`] and its objective is finite. Anything else would
+/// become its task's "best" in the [`RetrievalIndex`] and be served to
+/// cold tasks.
+fn record_is_valid(r: &CorpusRecord) -> bool {
+    metrics_are_valid(r.runtime, r.resource, r.failed) && r.objective.is_finite()
+}
+
 /// Persisted standardization statistics: per-dimension mean and standard
 /// deviation of the meta-features, plus the record count they summarize.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,6 +122,7 @@ pub struct TuningCorpus {
     records: Vec<CorpusRecord>,
     stats: Option<CorpusStats>,
     torn: usize,
+    rejected: usize,
     /// Sync cadence for appends (writer is rebuilt when it changes).
     policy: SyncPolicy,
     /// Flush counters attached to the writer ([`metric::CORPUS_FLUSHES`]).
@@ -127,28 +140,28 @@ impl TuningCorpus {
 
     /// Open (or create) a corpus backed by `path`. Lines that fail to
     /// parse — a torn tail from a crashed append, or junk — are counted
-    /// and skipped, never fatal. A missing file is an empty corpus.
+    /// and skipped, never fatal; so are records with invalid metrics
+    /// (runtime or resource failing [`metrics_are_valid`], or a
+    /// non-finite objective). A missing file is an empty corpus.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        let (lines, torn) = match read_jsonl_lossy::<CorpusLine, _>(&path) {
+            Ok(loaded) => loaded,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), 0),
             Err(e) => return Err(e),
         };
         let mut corpus = TuningCorpus {
             path: Some(path),
+            torn: torn as usize,
             ..TuningCorpus::default()
         };
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<CorpusLine>(line) {
-                Ok(CorpusLine::Record(r)) => corpus.records.push(r),
+        for line in lines {
+            match line {
+                CorpusLine::Record(r) if record_is_valid(&r) => corpus.records.push(r),
+                CorpusLine::Record(_) => corpus.rejected += 1,
                 // The newest stats line wins: `persist_stats` appends a
                 // fresh one as the corpus grows.
-                Ok(CorpusLine::Stats(s)) => corpus.stats = Some(s),
-                Err(_) => corpus.torn += 1,
+                CorpusLine::Stats(s) => corpus.stats = Some(s),
             }
         }
         Ok(corpus)
@@ -172,6 +185,11 @@ impl TuningCorpus {
     /// Lines skipped at load because they did not parse.
     pub fn torn_lines(&self) -> usize {
         self.torn
+    }
+
+    /// Records skipped at load because their metrics were invalid.
+    pub fn rejected_records(&self) -> usize {
+        self.rejected
     }
 
     /// All records, in append order.
@@ -221,8 +239,20 @@ impl TuningCorpus {
     /// Append one record. Under the default [`SyncPolicy::Every`] the
     /// JSONL line is written and `sync_data`d before returning, so at
     /// most the final line can tear on a crash; lazier policies stage
-    /// the line until the batch fills or [`TuningCorpus::flush`].
+    /// the line until the batch fills or [`TuningCorpus::flush`]. A
+    /// record with invalid metrics (see [`TuningCorpus::open`]) is
+    /// refused with [`io::ErrorKind::InvalidInput`] and nothing is
+    /// written.
     pub fn append(&mut self, record: CorpusRecord) -> io::Result<()> {
+        if !record_is_valid(&record) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "corpus record for task {:?} has invalid metrics (objective {}, runtime {}, resource {})",
+                    record.task_id, record.objective, record.runtime, record.resource
+                ),
+            ));
+        }
         self.write(&CorpusLine::Record(record.clone()))?;
         self.records.push(record);
         Ok(())
@@ -634,6 +664,64 @@ mod tests {
         let mut back = back;
         back.append(record("c", vec![2.0], 0.5, 4, 7.0)).unwrap();
         assert_eq!(TuningCorpus::open(&path).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn an_invalid_utf8_line_is_skipped_and_counted() {
+        let path = tmp("utf8");
+        let mut c = TuningCorpus::open(&path).unwrap();
+        c.append(record("a", vec![0.0], 0.2, 2, 10.0)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"\xff\n");
+        std::fs::write(&path, bytes).unwrap();
+        let mut c = TuningCorpus::open(&path).unwrap();
+        c.append(record("b", vec![1.0], 0.8, 8, 5.0)).unwrap();
+        let back = TuningCorpus::open(&path).unwrap();
+        assert_eq!(back.records(), c.records());
+        assert_eq!(back.len(), 2);
+        assert_eq!(back.torn_lines(), 1);
+    }
+
+    #[test]
+    fn records_with_invalid_metrics_never_load_or_append() {
+        let path = tmp("invalid");
+        let mut c = TuningCorpus::open(&path).unwrap();
+        c.append(record("good", vec![0.0, 0.0], 0.2, 2, 10.0))
+            .unwrap();
+        // A runtime-0 record with objective 0 would be the best record in
+        // the corpus; older builds wrote such lines unchecked.
+        let mut poison = record("poison", vec![1.0, 1.0], 0.8, 8, 0.0);
+        let line = serde_json::to_string(&CorpusLine::Record(poison.clone())).unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&line);
+        text.push('\n');
+        std::fs::write(&path, &text).unwrap();
+
+        let back = TuningCorpus::open(&path).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.rejected_records(), 1);
+        assert_eq!(back.torn_lines(), 0);
+        let index = back.index_for(2);
+        let near = index.nearest(&[1.0, 1.0], 3);
+        assert_eq!(near.len(), 1);
+        assert_eq!(near[0].point.task_id, "good");
+
+        let mut back = back;
+        for (runtime, resource, objective) in [
+            (0.0, 1.0, 1.0),
+            (-5.0, 1.0, 1.0),
+            (f64::NAN, 1.0, 1.0),
+            (1.0, -1.0, 1.0),
+            (1.0, 1.0, f64::INFINITY),
+        ] {
+            poison.runtime = runtime;
+            poison.resource = resource;
+            poison.objective = objective;
+            let err = back.append(poison.clone()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        assert_eq!(back.len(), 1);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     }
 
     #[test]

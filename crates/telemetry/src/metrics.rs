@@ -36,8 +36,8 @@ pub mod metric {
     pub const SURROGATE_CACHE_MISSES: &str = "surrogate_cache_misses";
     /// Counter: observations absorbed by O(n²) incremental updates.
     pub const SURROGATE_INCREMENTAL_UPDATES: &str = "surrogate_incremental_updates";
-    /// Counter: full refactorizations at fixed hyperparameters (the
-    /// `OTUNE_INCREMENTAL=0` baseline path plus jitter invalidations).
+    /// Counter: full refactorizations at fixed hyperparameters, run when
+    /// the cached jitter level could not absorb a new row.
     pub const SURROGATE_FULL_REFITS: &str = "surrogate_full_refits";
     /// Counter: full hyperparameter re-searches (scheduled or
     /// LML-degradation triggered).

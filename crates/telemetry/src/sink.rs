@@ -2,6 +2,8 @@
 
 use crate::event::Event;
 use parking_lot::Mutex;
+use serde::Deserialize;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -174,26 +176,34 @@ pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<Event>> {
     Ok(events)
 }
 
-/// Read an event stream tolerating torn or corrupt lines (a crash
-/// mid-write leaves a truncated tail; concurrent writers can interleave
-/// garbage). Parseable events are returned oldest first together with
-/// the number of skipped lines — the same crash-recovery contract as the
-/// job journal: damage is reported, never silently swallowed.
-pub fn read_jsonl_lossy<P: AsRef<Path>>(path: P) -> io::Result<(Vec<Event>, u64)> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut events = Vec::new();
+/// Read a JSONL file of `T` records tolerating torn or corrupt lines (a
+/// crash mid-write leaves a truncated tail; concurrent writers can
+/// interleave garbage; a torn multi-byte write leaves invalid UTF-8).
+/// Bytes are decoded lossily, so damage stays confined to its own line.
+/// Parseable records are returned in file order together with the number
+/// of skipped lines — damage is reported, never silently swallowed.
+/// Blank lines are neither records nor damage. Event streams, the job
+/// journal and the tuning corpus all load through this one reader.
+pub fn read_jsonl_lossy<T: Deserialize, P: AsRef<Path>>(path: P) -> io::Result<(Vec<T>, u64)> {
+    let bytes = std::fs::read(path)?;
+    // `from_utf8_lossy` scans byte by byte; valid files (the common case)
+    // take the much faster strict check and decode identically.
+    let text = match std::str::from_utf8(&bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(&bytes),
+    };
+    let mut records = Vec::new();
     let mut skipped = 0u64;
-    for line in reader.lines() {
-        let line = line?;
+    for line in text.lines() {
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<Event>(&line) {
-            Ok(event) => events.push(event),
+        match serde_json::from_str::<T>(line) {
+            Ok(record) => records.push(record),
             Err(_) => skipped += 1,
         }
     }
-    Ok((events, skipped))
+    Ok((records, skipped))
 }
 
 #[cfg(test)]
@@ -264,9 +274,23 @@ mod tests {
         let good = serde_json::to_string(&ev(0)).unwrap();
         let torn = &good[..good.len() / 2]; // crash mid-write
         std::fs::write(&path, format!("{good}\nnot json\n{good}\n{torn}")).unwrap();
-        let (events, skipped) = read_jsonl_lossy(&path).unwrap();
+        let (events, skipped) = read_jsonl_lossy::<Event, _>(&path).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(skipped, 2, "garbage line + torn tail");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lossy_reader_skips_an_invalid_utf8_line() {
+        let path = std::env::temp_dir().join("otune-telemetry-utf8.jsonl");
+        let good = serde_json::to_string(&ev(0)).unwrap();
+        let mut bytes = format!("{good}\n").into_bytes();
+        bytes.extend_from_slice(b"\xff\n");
+        bytes.extend_from_slice(format!("{good}\n").as_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let (events, skipped) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(skipped, 1);
         std::fs::remove_file(&path).ok();
     }
 
