@@ -179,8 +179,7 @@ impl SurrogateCache {
                     return Ok(Arc::clone(gp));
                 }
                 // Append-only extension: absorb the new rows one by one.
-                let _span = telemetry.span(metric::GP_FIT_S);
-                let _trace = telemetry.trace_span("gp_update");
+                let _trace = telemetry.trace_span_timed("gp_update", metric::GP_FIT_S);
                 let model = Arc::make_mut(gp);
                 let cfg = GpConfig {
                     seed,
@@ -221,8 +220,7 @@ impl SurrogateCache {
         telemetry.incr(metric::SURROGATE_CACHE_MISSES);
         let warm_hyper = self.gp.as_ref().map(|g| g.kernel().hyper);
         self.clear();
-        let _span = telemetry.span(metric::GP_FIT_S);
-        let _trace = telemetry.trace_span("gp_full_fit");
+        let _trace = telemetry.trace_span_timed("gp_full_fit", metric::GP_FIT_S);
         let kinds = surrogate_kinds(space, obs[0].context.len());
         let x: Vec<Vec<f64>> = obs
             .iter()
@@ -302,8 +300,7 @@ impl SurrogateCache {
                 && self.sparse_since_search + 1 >= self.policy.refit_period);
         let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
         let sub_y: Vec<f64> = idx.iter().map(|&i| self.target(&obs[i])).collect();
-        let _span = telemetry.span(metric::GP_FIT_S);
-        let _trace = telemetry.trace_span("gp_sparse_fit");
+        let _trace = telemetry.trace_span_timed("gp_sparse_fit", metric::GP_FIT_S);
         let gp = GaussianProcess::fit_traced(
             kinds,
             sub_x,

@@ -5,8 +5,8 @@ use otune_baselines::{CherryPick, Dac, Locat, RandomSearch, Rfhoc, Tuneful, Tune
 use otune_bo::Observation;
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::telemetry::{
-    attribute, chrome_trace_json, prometheus_text, read_jsonl, read_jsonl_lossy, spans_from_events,
-    AttributionReport, Event, EventKind, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
+    attribute, chrome_trace_json, prometheus_text, spans_from_events, AttributionReport, Event,
+    EventKind, JsonlLog, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
 };
 use otune_core::{Objective, OnlineTuneController, OnlineTuner, TaskHandle, TunerOptions};
 use otune_forest::Fanova;
@@ -1095,12 +1095,8 @@ fn events_cmd(
     kind: Option<&str>,
     out: &mut dyn Write,
 ) -> std::io::Result<i32> {
-    let events = match read_jsonl(file) {
-        Ok(e) => e,
-        Err(e) => {
-            writeln!(out, "cannot read {file}: {e}")?;
-            return Ok(2);
-        }
+    let Some((events, torn)) = load_events(file, out)? else {
+        return Ok(2);
     };
     let mut shown = 0usize;
     for e in &events {
@@ -1115,8 +1111,36 @@ fn events_cmd(
             e.seq, e.iteration, e.task, detail
         )?;
     }
-    writeln!(out, "{shown} event(s) shown ({} total)", events.len())?;
+    writeln!(
+        out,
+        "{shown} event(s) shown ({} total){}",
+        events.len(),
+        torn_note(torn)
+    )?;
     Ok(0)
+}
+
+/// Load the JSONL event stream at `file` for `events`/`trace`/`top`,
+/// skipping torn lines; a stream that cannot be read (or does not exist)
+/// is reported on `out` and yields `None`.
+fn load_events(file: &str, out: &mut dyn Write) -> std::io::Result<Option<(Vec<Event>, u64)>> {
+    match std::fs::metadata(file).and_then(|_| JsonlLog::load::<Event>(file)) {
+        Ok(loaded) => Ok(Some(loaded)),
+        Err(e) => {
+            writeln!(out, "cannot read {file}: {e}")?;
+            Ok(None)
+        }
+    }
+}
+
+/// " (N torn line(s) skipped)" when an event stream had torn lines, else
+/// "" — the note `events`, `trace` and `top` print after their counts.
+fn torn_note(torn: u64) -> String {
+    if torn > 0 {
+        format!(" ({torn} torn line(s) skipped)")
+    } else {
+        String::new()
+    }
 }
 
 /// `otune stats`: print the metrics snapshot of a tuning session as a
@@ -1163,12 +1187,8 @@ fn stats_cmd(file: &str, json: bool, prom: bool, out: &mut dyn Write) -> std::io
 /// optionally write them as a Chrome-trace/Perfetto JSON file, and print
 /// per-phase latency attribution.
 fn trace_cmd(file: &str, out_path: Option<&str>, out: &mut dyn Write) -> std::io::Result<i32> {
-    let (events, torn) = match read_jsonl_lossy::<Event, _>(file) {
-        Ok(r) => r,
-        Err(e) => {
-            writeln!(out, "cannot read {file}: {e}")?;
-            return Ok(2);
-        }
+    let Some((events, torn)) = load_events(file, out)? else {
+        return Ok(2);
     };
     let spans = spans_from_events(&events);
     if spans.is_empty() {
@@ -1183,11 +1203,7 @@ fn trace_cmd(file: &str, out_path: Option<&str>, out: &mut dyn Write) -> std::io
         "{} span(s) from {} event(s) in {file}{}",
         spans.len(),
         events.len(),
-        if torn > 0 {
-            format!(" ({torn} torn line(s) skipped)")
-        } else {
-            String::new()
-        }
+        torn_note(torn)
     )?;
     if let Some(path) = out_path {
         std::fs::write(path, chrome_trace_json(&spans))?;
@@ -1255,22 +1271,14 @@ fn top_cmd(file: &str, watch: Option<f64>, out: &mut dyn Write) -> std::io::Resu
 }
 
 fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
-    let (events, torn) = match read_jsonl_lossy::<Event, _>(file) {
-        Ok(r) => r,
-        Err(e) => {
-            writeln!(out, "cannot read {file}: {e}")?;
-            return Ok(2);
-        }
+    let Some((events, torn)) = load_events(file, out)? else {
+        return Ok(2);
     };
     writeln!(
         out,
         "fleet status from {file}: {} event(s){}",
         events.len(),
-        if torn > 0 {
-            format!(", {torn} torn line(s) skipped")
-        } else {
-            String::new()
-        }
+        torn_note(torn)
     )?;
 
     // Per-task rollup, in first-seen order.
@@ -2364,6 +2372,38 @@ mod tests {
         // Calibration record + 3 tuned iterations land on top.
         assert_eq!(after.len(), before + 4, "{text}");
         assert_eq!(after.torn_lines(), 0);
+    }
+
+    #[test]
+    fn events_skip_a_torn_tail_and_report_it() {
+        let path =
+            std::env::temp_dir().join(format!("otune-cli-torn-{}.jsonl", std::process::id()));
+        {
+            let telemetry = Telemetry::new(Box::new(JsonlSink::create(&path).unwrap()));
+            for n_params in 1..=3 {
+                telemetry.emit(0, EventKind::TaskRegistered { n_params });
+            }
+        }
+        // A kill -9 mid-write tears the last line.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        let mut buf = Vec::new();
+        let code = run(
+            Command::Events {
+                file: path.to_string_lossy().into_owned(),
+                task: None,
+                kind: None,
+            },
+            &mut buf,
+        )
+        .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(code, 0, "{text}");
+        assert!(
+            text.contains("2 event(s) shown (2 total) (1 torn line(s) skipped)"),
+            "{text}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

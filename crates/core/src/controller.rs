@@ -144,11 +144,6 @@ impl OnlineTuneController {
         &self.shared_meta
     }
 
-    /// The fleet options this controller runs under.
-    pub fn fleet_options(&self) -> &FleetOptions {
-        &self.fleet
-    }
-
     /// Attach a tuning corpus: every completed observation reported to the
     /// controller is appended to it, and
     /// [`OnlineTuneController::create_task_with_features`] retrieves its

@@ -145,8 +145,9 @@ impl OnlineTuneController {
         &mut self,
         requests: &[FleetRequest<'_>],
     ) -> Vec<Result<Configuration, ControllerError>> {
-        let span = self.telemetry.span(metric::FLEET_WAVE_S);
-        let wave_trace = self.telemetry.trace_span("fleet_wave_suggest");
+        let wave_trace = self
+            .telemetry
+            .trace_span_timed("fleet_wave_suggest", metric::FLEET_WAVE_S);
         self.telemetry.incr(metric::FLEET_WAVES);
         self.telemetry
             .add(metric::FLEET_REQUESTS, requests.len() as u64);
@@ -157,7 +158,6 @@ impl OnlineTuneController {
                 .map_err(ControllerError::Tuner)
         });
         wave_trace.finish();
-        drop(span);
         out
     }
 
@@ -169,8 +169,9 @@ impl OnlineTuneController {
         &mut self,
         reports: &[FleetReport<'_>],
     ) -> Vec<Result<(), ControllerError>> {
-        let span = self.telemetry.span(metric::FLEET_WAVE_S);
-        let wave_trace = self.telemetry.trace_span("fleet_wave_report");
+        let wave_trace = self
+            .telemetry
+            .trace_span_timed("fleet_wave_report", metric::FLEET_WAVE_S);
         self.telemetry.incr(metric::FLEET_WAVES);
         self.telemetry
             .add(metric::FLEET_REPORTS, reports.len() as u64);
@@ -178,7 +179,6 @@ impl OnlineTuneController {
             Self::absorb_report(&self.repository, &self.shared_meta, entry, &reports[i])
         });
         wave_trace.finish();
-        drop(span);
         // Deterministic post-wave phase: refit bookkeeping and warm-start
         // injections in input order.
         absorbed

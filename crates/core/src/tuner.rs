@@ -381,7 +381,9 @@ impl OnlineTuner {
             return Ok(config);
         }
 
-        let trace = self.telemetry.trace_span("suggest");
+        let trace = self
+            .telemetry
+            .trace_span_timed("suggest", metric::SUGGEST_LATENCY_S);
         let warm = self.opts.warm_configs.clone();
         // With a retrieval bootstrap attached, burn-in iterations skip
         // building the meta ensemble entirely — the initial design never
@@ -397,15 +399,12 @@ impl OnlineTuner {
         } else {
             self.build_ensemble()
         };
-        let suggestion = {
-            let _span = self.telemetry.span(metric::SUGGEST_LATENCY_S);
-            self.generator.suggest(
-                &self.history,
-                context,
-                &warm,
-                ensemble.as_ref().map(|e| e as &dyn otune_bo::Predictor),
-            )
-        };
+        let suggestion = self.generator.suggest(
+            &self.history,
+            context,
+            &warm,
+            ensemble.as_ref().map(|e| e as &dyn otune_bo::Predictor),
+        );
         trace.finish();
         self.telemetry.emit(
             self.round_iterations as u64,

@@ -1,23 +1,22 @@
 //! Torn-write-tolerant, group-committed, segmented JSONL journal.
 //!
-//! One `JournalEntry` per line. Appends flow through the shared
-//! [`BatchedWriter`] (`otune-telemetry`), so the `sync_data` cadence is
-//! a [`SyncPolicy`]: `every` (the default — one fsync per append, the
-//! legacy behavior, byte- and fsync-identical to pre-batching journals),
-//! `batch:N` (group commit every N appends), or `barrier` (fsync only at
-//! semantic barriers: checkpoints, pause, completion). The engine places
-//! a [`Journal::barrier`] after every durability-critical append, so "an
+//! One `JournalEntry` per line, appended through the shared
+//! [`JsonlLog`] (`otune-telemetry`), so the `sync_data` cadence is a
+//! [`SyncPolicy`]: `every` (the default — one fsync per append), `batch:N`
+//! (group commit every N appends), or `barrier` (fsync only at semantic
+//! barriers: checkpoints, pause, completion). The journal's bytes never
+//! depend on the policy, only its fsync cadence does. The engine places a
+//! [`Journal::barrier`] after every durability-critical append, so "an
 //! acked checkpoint survives `kill -9`" holds under every policy.
 //!
 //! ## Segments
 //!
 //! A journal is the base file plus rotated siblings `<base>.0001`,
 //! `<base>.0002`, … — a new segment starts once the current one crosses
-//! [`SEGMENT_ENV`] bytes (default 8 MiB; large enough that short
-//! campaigns stay single-file and byte-identical to the unsegmented
-//! format). Loads read every segment, order entries by `seq`, and drop
-//! duplicate seqs (first occurrence wins) — which also makes a crash
-//! between compaction's rename and its segment cleanup harmless.
+//! 8 MiB (large enough that short campaigns stay single-file). Loads
+//! read every segment, order entries by `seq`, and drop duplicate seqs
+//! (first occurrence wins) — which also makes a crash between
+//! compaction's rename and its segment cleanup harmless.
 //!
 //! ## Compaction
 //!
@@ -40,38 +39,20 @@
 //!   resume repairs by re-driving the lost waves deterministically.
 
 use crate::event::{JobEvent, JournalEntry};
-use otune_telemetry::{
-    metric, read_jsonl_lossy, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics,
-};
+use otune_telemetry::{JsonlLog, LogCounters, SyncPolicy, Telemetry};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Environment variable overriding the segment rotation threshold in
-/// bytes (default 8 MiB).
-pub const SEGMENT_ENV: &str = "OTUNE_JOURNAL_SEGMENT_BYTES";
-
-const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
-
-fn segment_bytes_from_env() -> u64 {
-    std::env::var(SEGMENT_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_SEGMENT_BYTES)
-}
+/// Segment rotation threshold in bytes.
+const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Append handle over a (possibly segmented) journal.
 pub struct Journal {
     base: PathBuf,
-    writer: BatchedWriter,
-    /// Index of the segment the writer appends to (0 = the base file).
+    log: JsonlLog,
+    /// Index of the segment the log appends to (0 = the base file).
     segment: u32,
     segment_bytes: u64,
-    telemetry: Telemetry,
-    /// Crash-at-fsync target across all writers this journal opens.
-    crash_at_fsync: Option<u64>,
-    /// Fsyncs paid by writers already rotated away.
-    fsyncs_closed: u64,
 }
 
 /// The result of loading a journal: every parseable entry in seq order,
@@ -110,9 +91,9 @@ fn segment_path(base: &Path, n: u32) -> PathBuf {
 
 impl Journal {
     /// Open (or create) a journal for appending under the environment's
-    /// sync policy (`OTUNE_JOURNAL_SYNC`, default `every`), healing a
-    /// torn tail eagerly: if the last segment does not end in a newline,
-    /// one is appended and fsynced so the next entry starts fresh.
+    /// sync policy (`OTUNE_JOURNAL_SYNC`, default `every`). A torn tail of
+    /// the last segment is healed: a newline is appended and fsynced so
+    /// the next entry starts fresh.
     pub fn open(path: &Path) -> io::Result<Journal> {
         Self::open_with(path, SyncPolicy::from_env())
     }
@@ -123,105 +104,57 @@ impl Journal {
             .last()
             .and_then(|p| segment_index(path, p))
             .unwrap_or(0);
-        let mut writer = BatchedWriter::open(&segment_path(path, segment), policy)?;
-        writer.heal_now()?;
         Ok(Journal {
             base: path.to_path_buf(),
-            writer,
+            log: JsonlLog::open(&segment_path(path, segment), policy)?,
             segment,
-            segment_bytes: segment_bytes_from_env(),
-            telemetry: Telemetry::disabled(),
-            crash_at_fsync: None,
-            fsyncs_closed: 0,
+            segment_bytes: SEGMENT_BYTES,
         })
     }
 
-    /// Attach the telemetry handle the writer's flush counters
+    /// Attach the telemetry handle the flush counters
     /// (`journal_batches`, `journal_fsyncs`, `journal_bytes`) flow
     /// through.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-        self.writer.set_metrics(self.writer_metrics());
-    }
-
-    fn writer_metrics(&self) -> WriterMetrics {
-        WriterMetrics {
-            telemetry: self.telemetry.clone(),
-            batches: Some(metric::JOURNAL_BATCHES),
-            fsyncs: Some(metric::JOURNAL_FSYNCS),
-            bytes: Some(metric::JOURNAL_BYTES),
-        }
-    }
-
-    /// The journal's base path.
-    pub fn path(&self) -> &Path {
-        &self.base
-    }
-
-    /// The active sync policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.writer.policy()
+        self.log.set_telemetry(telemetry, LogCounters::JOURNAL);
     }
 
     /// Total `sync_data` calls paid by this journal handle.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs_closed + self.writer.fsyncs()
+        self.log.fsyncs()
     }
 
     /// Arm a crash (`abort`, kill -9 semantics) right after this
     /// handle's N-th completed `sync_data` (1-based) — the fsync-boundary
     /// analogue of the engine's `wave:`/`checkpoint:`/`append:` hooks.
     pub fn arm_crash_at_fsync(&mut self, n: u64) {
-        self.crash_at_fsync = Some(n);
-        let done = self.fsyncs();
-        if n > done {
-            self.writer.arm_crash_at_fsync(n - self.fsyncs_closed);
-        }
+        self.log.arm_crash_at_fsync(n);
     }
 
     /// Append one entry as a JSON line. Under the `every` policy the
-    /// line is fsynced before this returns (the legacy contract); under
-    /// `batch:N`/`barrier` it may sit in the group-commit buffer until
-    /// the next flush or [`Journal::barrier`]. Returns the serialized
-    /// line length in bytes.
+    /// line is fsynced before this returns; under `batch:N`/`barrier` it
+    /// may sit in the group-commit buffer until the next flush or
+    /// [`Journal::barrier`]. Returns the line length in bytes.
     pub fn append(&mut self, entry: &JournalEntry) -> io::Result<usize> {
-        if self.writer.logical_len() >= self.segment_bytes {
-            self.rotate()?;
+        if self.log.len() >= self.segment_bytes {
+            // Start the next segment; the current one is synced first.
+            self.segment += 1;
+            self.log
+                .rotate_to(&segment_path(&self.base, self.segment))?;
         }
-        let line = serde_json::to_string(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.writer.append_line(&line)?;
-        Ok(line.len() + 1)
+        self.log.append(entry)
     }
 
     /// Sync barrier: after this returns every appended entry is durable,
     /// whatever the policy. Free when nothing is pending.
     pub fn barrier(&mut self) -> io::Result<()> {
-        self.writer.barrier()
+        self.log.barrier()
     }
 
-    /// Override the segment rotation threshold (tests; production reads
-    /// [`SEGMENT_ENV`] at open).
+    /// Override the segment rotation threshold (rotation tests; production
+    /// rotates at 8 MiB).
     pub fn set_segment_bytes(&mut self, bytes: u64) {
         self.segment_bytes = bytes.max(1);
-    }
-
-    /// Start the next segment: flush and fsync the current one, then
-    /// switch appends to `<base>.NNNN`.
-    fn rotate(&mut self) -> io::Result<()> {
-        self.writer.barrier()?;
-        self.fsyncs_closed += self.writer.fsyncs();
-        self.segment += 1;
-        let mut writer =
-            BatchedWriter::open(&segment_path(&self.base, self.segment), self.policy())?;
-        writer.set_metrics(self.writer_metrics());
-        if let Some(n) = self.crash_at_fsync {
-            if n > self.fsyncs_closed {
-                writer.arm_crash_at_fsync(n - self.fsyncs_closed);
-            }
-        }
-        self.writer = writer;
-        Ok(())
     }
 
     /// Every existing segment file of the journal at `path`, base first,
@@ -274,14 +207,9 @@ impl Journal {
     pub fn load(path: &Path) -> io::Result<JournalLoad> {
         let mut load = JournalLoad::default();
         for segment in Self::segments(path)? {
-            match read_jsonl_lossy::<JournalEntry, _>(&segment) {
-                Ok((entries, torn)) => {
-                    load.entries.extend(entries);
-                    load.torn_lines += torn;
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
+            let (entries, torn) = JsonlLog::load::<JournalEntry>(&segment)?;
+            load.entries.extend(entries);
+            load.torn_lines += torn;
         }
         load.entries.sort_by_key(|e| e.seq);
         load.entries.dedup_by_key(|e| e.seq);
@@ -329,13 +257,11 @@ impl Journal {
         // the rewrite.
         let _ = std::fs::remove_file(&tmp);
         {
-            let mut writer = BatchedWriter::open(&tmp, SyncPolicy::Barrier)?;
+            let mut log = JsonlLog::open(&tmp, SyncPolicy::Barrier)?;
             for entry in &kept {
-                let line = serde_json::to_string(entry)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                writer.append_line(&line)?;
+                log.append(entry)?;
             }
-            writer.barrier()?;
+            log.barrier()?;
         }
         if crash.as_deref() == Some("compact:1") {
             // The tmp file exists but the journal is untouched.

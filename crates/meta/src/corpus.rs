@@ -4,11 +4,11 @@
 //! a (meta-feature vector, configuration, outcome, task id) record. The
 //! [`TuningCorpus`] accumulates those records in an append-only JSONL
 //! file — one self-describing JSON object per line, written through the
-//! shared group-commit writer (one `sync_data` per line by default, one
-//! per batch under a lazy [`SyncPolicy`]) — so a crash mid-append tears
-//! at most the final line (or loses a staged-but-unflushed batch under
-//! a lazy policy), and loading skips lines that do not parse and
-//! records whose metrics are not usable measurements.
+//! shared [`JsonlLog`] (one `sync_data` per line by default, one per
+//! batch under a lazy [`SyncPolicy`]) — so a crash mid-append tears at
+//! most the final line (or loses a staged-but-unflushed batch under a
+//! lazy policy), and loading skips lines that do not parse and records
+//! whose metrics are not usable measurements.
 //!
 //! On top of the corpus sits the [`RetrievalIndex`]: z-score-standardized
 //! k-nearest-neighbor search over the 75 meta-features. Standardization
@@ -31,9 +31,7 @@
 
 use otune_bo::metrics_are_valid;
 use otune_space::{ConfigSpace, Configuration};
-use otune_telemetry::{
-    metric, read_jsonl_lossy, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics,
-};
+use otune_telemetry::{metric, JsonlLog, LogCounters, SyncPolicy, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -108,10 +106,9 @@ enum CorpusLine {
 
 /// Append-only, torn-write-tolerant store of tuning outcomes.
 ///
-/// Appends go through the shared group-commit writer
-/// ([`otune_telemetry::BatchedWriter`]): under the default
-/// [`SyncPolicy::Every`] each record is fsynced before `append` returns
-/// (the legacy cadence); a fleet can switch to `batch:N`/`barrier` via
+/// Appends go through the shared [`JsonlLog`]: under the default
+/// [`SyncPolicy::Every`] each record is fsynced before `append` returns;
+/// a fleet can switch to `batch:N`/`barrier` via
 /// [`TuningCorpus::set_sync_policy`] so the per-observation hot path
 /// stages records in memory and a single `sync_data` at
 /// [`TuningCorpus::flush`] (called at checkpoints and when stats are
@@ -123,13 +120,13 @@ pub struct TuningCorpus {
     stats: Option<CorpusStats>,
     torn: usize,
     rejected: usize,
-    /// Sync cadence for appends (writer is rebuilt when it changes).
+    /// Sync cadence for appends.
     policy: SyncPolicy,
-    /// Flush counters attached to the writer ([`metric::CORPUS_FLUSHES`]).
-    metrics: WriterMetrics,
-    /// Lazily opened on first file-backed append; heals a torn tail
-    /// before the first line it writes.
-    writer: Option<BatchedWriter>,
+    /// Handle the log's flush counters flow through.
+    telemetry: Telemetry,
+    /// Opened on the first file-backed append, so a corpus that is only
+    /// read never creates or writes its file.
+    log: Option<JsonlLog>,
 }
 
 impl TuningCorpus {
@@ -145,11 +142,7 @@ impl TuningCorpus {
     /// non-finite objective). A missing file is an empty corpus.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        let (lines, torn) = match read_jsonl_lossy::<CorpusLine, _>(&path) {
-            Ok(loaded) => loaded,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), 0),
-            Err(e) => return Err(e),
-        };
+        let (lines, torn) = JsonlLog::load::<CorpusLine>(&path)?;
         let mut corpus = TuningCorpus {
             path: Some(path),
             torn: torn as usize,
@@ -209,31 +202,20 @@ impl TuningCorpus {
     /// Switch the sync cadence for future appends. Any staged batch is
     /// flushed first so no record silently changes durability class.
     pub fn set_sync_policy(&mut self, policy: SyncPolicy) -> io::Result<()> {
-        if policy != self.policy {
-            self.flush()?;
-            self.writer = None;
-            self.policy = policy;
+        self.policy = policy;
+        match &mut self.log {
+            Some(log) => log.set_policy(policy),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// The sync cadence appends are written under.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
-    /// Attach telemetry: each non-empty flushed batch bumps
-    /// [`metric::CORPUS_FLUSHES`].
+    /// Attach telemetry: flushes bump `corpus_flushes`, `corpus_fsyncs`
+    /// and `corpus_bytes`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = WriterMetrics {
-            telemetry,
-            batches: Some(metric::CORPUS_FLUSHES),
-            fsyncs: None,
-            bytes: None,
-        };
-        if let Some(w) = &mut self.writer {
-            w.set_metrics(self.metrics.clone());
+        if let Some(log) = &mut self.log {
+            log.set_telemetry(telemetry.clone(), LogCounters::CORPUS);
         }
+        self.telemetry = telemetry;
     }
 
     /// Append one record. Under the default [`SyncPolicy::Every`] the
@@ -262,32 +244,27 @@ impl TuningCorpus {
     /// Free when nothing is staged (so the default `every` policy pays
     /// no extra fsyncs).
     pub fn flush(&mut self) -> io::Result<()> {
-        if let Some(w) = &mut self.writer {
-            w.barrier()?;
+        match &mut self.log {
+            Some(log) => log.barrier(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Records staged in memory but not yet flushed (0 under `every`).
-    pub fn pending_lines(&self) -> usize {
-        self.writer.as_ref().map_or(0, |w| w.pending_lines())
-    }
-
-    /// Append one line through the group-commit writer (healing a torn
-    /// tail first). In-memory corpora skip the file entirely.
+    /// Append one line to the log, opening it (and healing a torn tail)
+    /// on first use. In-memory corpora skip the file entirely.
     fn write(&mut self, line: &CorpusLine) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let text = serde_json::to_string(line).map_err(io::Error::other)?;
-        let writer = match &mut self.writer {
-            Some(w) => w,
+        let log = match &mut self.log {
+            Some(log) => log,
             None => {
-                let w = BatchedWriter::open(path, self.policy)?.with_metrics(self.metrics.clone());
-                self.writer.insert(w)
+                let mut log = JsonlLog::open(path, self.policy)?;
+                log.set_telemetry(self.telemetry.clone(), LogCounters::CORPUS);
+                self.log.insert(log)
             }
         };
-        writer.append_line(&text)?;
+        log.append(line)?;
         Ok(())
     }
 
@@ -735,6 +712,26 @@ mod tests {
     }
 
     #[test]
+    fn reading_a_corpus_never_creates_or_writes_its_file() {
+        let path = tmp("readonly");
+        let c = TuningCorpus::open(&path).unwrap();
+        assert_eq!(c.stats_for(1), None);
+        assert!(!path.exists(), "opening a missing corpus creates nothing");
+        let mut c = TuningCorpus::open(&path).unwrap();
+        c.append(record("a", vec![0.0], 0.2, 2, 10.0)).unwrap();
+        let torn = format!("{}{{\"Rec", std::fs::read_to_string(&path).unwrap());
+        std::fs::write(&path, &torn).unwrap();
+        let c = TuningCorpus::open(&path).unwrap();
+        assert_eq!((c.len(), c.torn_lines()), (1, 1));
+        drop(c);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            torn,
+            "a torn tail is healed only by the first append"
+        );
+    }
+
+    #[test]
     fn persisted_stats_win_over_recomputation() {
         let path = tmp("stats");
         let mut c = TuningCorpus::open(&path).unwrap();
@@ -879,10 +876,11 @@ mod tests {
         c.set_sync_policy(SyncPolicy::Batch(8)).unwrap();
         c.append(record("a", vec![0.0], 0.2, 2, 10.0)).unwrap();
         c.append(record("b", vec![1.0], 0.8, 8, 5.0)).unwrap();
-        assert_eq!(c.pending_lines(), 2, "hot path stays in memory");
-        assert!(TuningCorpus::open(&path).unwrap().is_empty());
+        assert!(
+            TuningCorpus::open(&path).unwrap().is_empty(),
+            "hot path stays in memory"
+        );
         c.flush().unwrap();
-        assert_eq!(c.pending_lines(), 0);
         assert_eq!(TuningCorpus::open(&path).unwrap().len(), 2);
     }
 
@@ -914,6 +912,7 @@ mod tests {
         c.flush().unwrap(); // empty: free
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::CORPUS_FLUSHES], 2, "two full batches");
+        assert_eq!(snap.counters[metric::CORPUS_FSYNCS], 2);
     }
 
     #[test]

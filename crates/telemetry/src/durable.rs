@@ -1,49 +1,50 @@
-//! Shared group-commit writer for append-only JSONL durability surfaces.
+//! The one durable JSONL log: torn-tail-tolerant loads and group-committed
+//! appends.
 //!
-//! Three surfaces persist line-oriented JSON with crash tolerance: the
-//! job journal (`otune-jobs`), the snapshot log (`otune-core`), and the
-//! tuning corpus (`otune-meta`). Before this module each paid one
-//! `write` + `sync_data` per line — at fleet scale the fsync, not the
-//! tuning math, bounds wave throughput. [`BatchedWriter`] gives all
-//! three one code path: appends land in an in-memory batch buffer and a
-//! single `sync_data` covers the whole batch when it flushes.
+//! Two surfaces persist line-oriented JSON that must survive crashes: the
+//! job journal (`otune-jobs`) and the tuning corpus (`otune-meta`). Both
+//! go through [`JsonlLog`], and so do the event-stream readers of the CLI:
+//!
+//! * [`JsonlLog::load`] splits a file into records, skipping and counting
+//!   torn or corrupt lines (a crash mid-write, interleaved garbage, a torn
+//!   multi-byte write). A missing file is empty.
+//! * [`JsonlLog::open`] opens a file for append and heals a torn tail once,
+//!   so the next record starts on a fresh line.
+//! * [`JsonlLog::append`] serializes a record into an in-memory batch; one
+//!   `sync_data` covers the whole batch when it flushes.
 //!
 //! The [`SyncPolicy`] decides when a flush happens:
 //!
 //! | policy      | flush on append          | survives `kill -9`            |
 //! |-------------|--------------------------|-------------------------------|
-//! | `Every`     | every line (legacy)      | every acked append            |
+//! | `Every`     | every line (default)     | every acked append            |
 //! | `Batch(n)`  | every `n` buffered lines | last flushed batch boundary   |
 //! | `Barrier`   | never — barriers only    | last explicit [`barrier`]     |
 //!
-//! Under every policy an explicit [`BatchedWriter::barrier`] drains the
-//! buffer and fsyncs, so callers can guarantee "this entry is durable
-//! now" at semantic boundaries (checkpoints, pause, completion)
-//! regardless of how lazy the steady-state policy is. Buffered-but-
-//! unflushed lines live in user space: a crash (`abort`, `kill -9`)
-//! loses exactly the unacked suffix and nothing before it.
+//! Under every policy an explicit [`JsonlLog::barrier`] drains the buffer
+//! and fsyncs, so callers can guarantee "this entry is durable now" at
+//! semantic boundaries (checkpoints, pause, completion) regardless of how
+//! lazy the steady-state policy is. Buffered-but-unflushed lines live in
+//! user space: a crash (`abort`, `kill -9`) loses exactly the unacked
+//! suffix and nothing before it.
 //!
-//! [`barrier`]: BatchedWriter::barrier
+//! [`barrier`]: JsonlLog::barrier
 
-use crate::Telemetry;
+use crate::{metric, Telemetry};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Environment variable selecting the journal sync policy:
 /// `every` | `batch:N` | `barrier`.
 pub const SYNC_ENV: &str = "OTUNE_JOURNAL_SYNC";
 
-/// Environment variable arming a crash (`std::process::abort`) right
-/// after the N-th completed `sync_data` of a [`BatchedWriter`] — kill -9
-/// semantics at an exact fsync boundary. Value: `fsync:N`. Parsed by the
-/// job engine, armed via [`BatchedWriter::arm_crash_at_fsync`].
-pub const CRASH_FSYNC_PREFIX: &str = "fsync:";
-
-/// When a group-commit writer pays a `sync_data`.
+/// When a [`JsonlLog`] pays a `sync_data`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// One fsync per appended line — the legacy cadence and the default.
+    /// One fsync per appended line — the default.
     #[default]
     Every,
     /// Fsync once every `n` buffered lines (and at barriers).
@@ -79,165 +80,176 @@ impl SyncPolicy {
             .and_then(|s| SyncPolicy::parse(&s))
             .unwrap_or(SyncPolicy::Every)
     }
-
-    /// Canonical string form (round-trips through [`SyncPolicy::parse`]).
-    pub fn as_string(&self) -> String {
-        match self {
-            SyncPolicy::Every => "every".to_string(),
-            SyncPolicy::Batch(n) => format!("batch:{n}"),
-            SyncPolicy::Barrier => "barrier".to_string(),
-        }
-    }
 }
 
-/// Counter names a writer bumps when it flushes; each is optional so
-/// surfaces expose only the metrics they own.
-#[derive(Debug, Clone, Default)]
-pub struct WriterMetrics {
-    /// Handle the counters flow through (disabled → no-ops).
-    pub telemetry: Telemetry,
-    /// Counter incremented once per non-empty flushed batch.
-    pub batches: Option<&'static str>,
-    /// Counter incremented once per `sync_data`.
-    pub fsyncs: Option<&'static str>,
-    /// Counter incremented by the payload bytes of each flush.
-    pub bytes: Option<&'static str>,
+/// The counters a [`JsonlLog`] bumps as it flushes.
+#[derive(Debug, Clone, Copy)]
+pub struct LogCounters {
+    /// Incremented once per non-empty flushed batch.
+    pub batches: &'static str,
+    /// Incremented once per `sync_data`.
+    pub fsyncs: &'static str,
+    /// Incremented by the payload bytes of each flush.
+    pub bytes: &'static str,
+}
+
+impl LogCounters {
+    /// The job journal's counters.
+    pub const JOURNAL: LogCounters = LogCounters {
+        batches: metric::JOURNAL_BATCHES,
+        fsyncs: metric::JOURNAL_FSYNCS,
+        bytes: metric::JOURNAL_BYTES,
+    };
+
+    /// The tuning corpus' counters.
+    pub const CORPUS: LogCounters = LogCounters {
+        batches: metric::CORPUS_FLUSHES,
+        fsyncs: metric::CORPUS_FSYNCS,
+        bytes: metric::CORPUS_BYTES,
+    };
 }
 
 /// Group-commit append handle over one JSONL file.
 ///
-/// Lines are staged in an in-memory buffer; [`flush`] writes the whole
+/// Records are staged in an in-memory buffer; a flush writes the whole
 /// buffer and pays one `sync_data` for it. The [`SyncPolicy`] decides
-/// whether [`append_line`] flushes eagerly (per line, per batch) or
-/// leaves everything to explicit [`barrier`]s. Dropping the writer
+/// whether [`JsonlLog::append`] flushes eagerly (per line, per batch) or
+/// leaves everything to explicit [`JsonlLog::barrier`]s. Dropping the log
 /// flushes best-effort — but `std::process::abort()` skips destructors,
 /// so crash semantics are exactly "unacked suffix lost".
-///
-/// [`flush`]: BatchedWriter::flush
-/// [`append_line`]: BatchedWriter::append_line
-/// [`barrier`]: BatchedWriter::barrier
 #[derive(Debug)]
-pub struct BatchedWriter {
-    path: PathBuf,
+pub struct JsonlLog {
     file: File,
     policy: SyncPolicy,
     /// Staged payload not yet written to the file.
     buf: Vec<u8>,
     /// Lines staged in `buf`.
     pending: usize,
-    /// Lines flushed *and* fsynced — the durable prefix.
-    acked: u64,
-    /// The file ended without a trailing newline at open (torn tail);
-    /// healed lazily before the first write, or eagerly by `heal_now`.
-    needs_newline: bool,
     /// File length as the OS sees it (excludes the staged buffer).
     file_len: u64,
-    metrics: WriterMetrics,
+    counters: Option<(Telemetry, LogCounters)>,
     /// Abort after this many completed fsyncs (1-based), if armed.
     crash_at_fsync: Option<u64>,
-    /// Completed `sync_data` calls on this writer.
+    /// Completed `sync_data` calls on this log.
     fsyncs: u64,
 }
 
-impl BatchedWriter {
-    /// Open (or create) `path` for appending under `policy`. A torn tail
-    /// (no trailing newline) is detected here and healed lazily before
-    /// the first write — call [`BatchedWriter::heal_now`] to heal
-    /// eagerly.
-    pub fn open(path: &Path, policy: SyncPolicy) -> io::Result<BatchedWriter> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut needs_newline = false;
-        if file_len > 0 {
-            let mut reader = File::open(path)?;
-            reader.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            reader.read_exact(&mut last)?;
-            needs_newline = last[0] != b'\n';
+impl JsonlLog {
+    /// Every parseable `T` record of the JSONL file at `path`, in file
+    /// order, plus the number of lines skipped because they did not parse.
+    /// Damage is reported, never silently swallowed; blank lines are
+    /// neither records nor damage. Bytes are decoded lossily, so invalid
+    /// UTF-8 stays confined to its own line. A missing file is empty.
+    pub fn load<T: Deserialize>(path: impl AsRef<Path>) -> io::Result<(Vec<T>, u64)> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+            Err(e) => return Err(e),
+        };
+        // `from_utf8_lossy` scans byte by byte; valid files (the common case)
+        // take the much faster strict check and decode identically.
+        let text = match std::str::from_utf8(&bytes) {
+            Ok(text) => Cow::Borrowed(text),
+            Err(_) => String::from_utf8_lossy(&bytes),
+        };
+        let mut records = Vec::new();
+        let mut torn = 0u64;
+        for line in text.lines() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            match serde_json::from_str::<T>(line) {
+                Ok(record) => records.push(record),
+                Err(_) => torn += 1,
+            }
         }
-        Ok(BatchedWriter {
-            path: path.to_path_buf(),
+        Ok((records, torn))
+    }
+
+    /// Open (or create) `path` for appending under `policy`. A torn tail
+    /// (no trailing newline) is healed here, once: a newline is appended
+    /// and fsynced so the next record starts on a fresh line.
+    pub fn open(path: &Path, policy: SyncPolicy) -> io::Result<JsonlLog> {
+        let (file, file_len) = open_for_append(path)?;
+        let mut log = JsonlLog {
             file,
             policy,
             buf: Vec::new(),
             pending: 0,
-            acked: 0,
-            needs_newline,
             file_len,
-            metrics: WriterMetrics::default(),
+            counters: None,
             crash_at_fsync: None,
             fsyncs: 0,
-        })
+        };
+        log.heal_tail(path)?;
+        Ok(log)
     }
 
-    /// Attach flush counters.
-    pub fn with_metrics(mut self, metrics: WriterMetrics) -> BatchedWriter {
-        self.metrics = metrics;
-        self
+    /// Continue appending at `path` (the next segment of a rotated log):
+    /// the current file is flushed and synced first, and the policy, the
+    /// counters, the fsync count and an armed crash all carry over.
+    pub fn rotate_to(&mut self, path: &Path) -> io::Result<()> {
+        self.barrier()?;
+        (self.file, self.file_len) = open_for_append(path)?;
+        self.heal_tail(path)
     }
 
-    /// Replace the flush counters on an existing writer.
-    pub fn set_metrics(&mut self, metrics: WriterMetrics) {
-        self.metrics = metrics;
+    fn heal_tail(&mut self, path: &Path) -> io::Result<()> {
+        if self.file_len == 0 {
+            return Ok(());
+        }
+        let mut reader = File::open(path)?;
+        reader.seek(SeekFrom::End(-1))?;
+        let mut last = [0u8; 1];
+        reader.read_exact(&mut last)?;
+        if last[0] == b'\n' {
+            return Ok(());
+        }
+        self.file.write_all(b"\n")?;
+        self.file_len += 1;
+        self.sync()
     }
 
-    /// The file being appended to.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Route the flush counters through `telemetry`.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry, counters: LogCounters) {
+        self.counters = Some((telemetry, counters));
     }
 
-    /// The active sync policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
+    /// Switch the sync cadence for future appends. The staged batch is
+    /// flushed first, so no record silently changes durability class.
+    pub fn set_policy(&mut self, policy: SyncPolicy) -> io::Result<()> {
+        self.barrier()?;
+        self.policy = policy;
+        Ok(())
     }
 
-    /// Lines staged but not yet flushed.
-    pub fn pending_lines(&self) -> usize {
-        self.pending
-    }
-
-    /// Lines made durable so far (flushed and fsynced) by this writer.
-    pub fn acked_lines(&self) -> u64 {
-        self.acked
-    }
-
-    /// Completed `sync_data` calls on this writer.
+    /// Completed `sync_data` calls on this log.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
     }
 
-    /// Logical length: file bytes plus the staged buffer (what the file
-    /// length becomes after the next flush). Used for segment rotation.
-    pub fn logical_len(&self) -> u64 {
-        self.file_len + self.buf.len() as u64 + u64::from(self.needs_newline)
+    /// Logical length in bytes: the file plus the staged buffer (what the
+    /// file length becomes after the next flush).
+    pub fn len(&self) -> u64 {
+        self.file_len + self.buf.len() as u64
     }
 
-    /// Arm a crash right after the N-th completed `sync_data` (1-based).
+    /// Whether the log holds no bytes, flushed or staged.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Arm a crash (`abort`, kill -9 semantics) right after the N-th
+    /// completed `sync_data` of this log (1-based).
     pub fn arm_crash_at_fsync(&mut self, n: u64) {
         self.crash_at_fsync = Some(n);
     }
 
-    /// Heal a torn tail now: append the missing newline and fsync it, so
-    /// the next entry starts on a fresh line even if nothing else is
-    /// ever appended.
-    pub fn heal_now(&mut self) -> io::Result<()> {
-        if self.needs_newline {
-            self.needs_newline = false;
-            self.file.write_all(b"\n")?;
-            self.file_len += 1;
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Stage one line (without trailing newline) and flush if the policy
-    /// calls for it. Returns whether the line is already durable.
-    pub fn append_line(&mut self, line: &str) -> io::Result<bool> {
-        if self.needs_newline {
-            // Lazy torn-tail heal: start the new entry on a fresh line.
-            self.needs_newline = false;
-            self.buf.push(b'\n');
-        }
+    /// Serialize `record` as one line, stage it, and flush if the policy
+    /// calls for it. Returns the line's length in bytes, newline included.
+    pub fn append<T: Serialize + ?Sized>(&mut self, record: &T) -> io::Result<usize> {
+        let line = serde_json::to_string(record)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.buf.extend_from_slice(line.as_bytes());
         self.buf.push(b'\n');
         self.pending += 1;
@@ -247,55 +259,36 @@ impl BatchedWriter {
             SyncPolicy::Barrier => false,
         };
         if flush_now {
-            self.flush()?;
+            self.barrier()?;
         }
-        Ok(flush_now)
+        Ok(line.len() + 1)
     }
 
-    /// Write the staged buffer and pay one `sync_data` for it. No-op
-    /// when nothing is staged.
-    pub fn flush(&mut self) -> io::Result<()> {
+    /// Sync barrier: after this returns, every record ever appended is
+    /// durable. Writes the staged buffer and pays one `sync_data` for it;
+    /// a no-op when nothing is staged (so the `Every` policy pays no extra
+    /// fsyncs at barriers).
+    pub fn barrier(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
         self.file.write_all(&self.buf)?;
         let bytes = self.buf.len() as u64;
         self.file_len += bytes;
-        let lines = self.pending as u64;
         self.buf.clear();
         self.pending = 0;
-        let m = &self.metrics;
-        if let Some(name) = m.batches {
-            m.telemetry.incr(name);
+        if let Some((telemetry, counters)) = &self.counters {
+            telemetry.incr(counters.batches);
+            telemetry.add(counters.bytes, bytes);
         }
-        if let Some(name) = m.bytes {
-            m.telemetry.add(name, bytes);
-        }
-        self.sync()?;
-        self.acked += lines;
-        Ok(())
-    }
-
-    /// Sync barrier: after this returns, every line ever appended is
-    /// durable. Pure no-op when nothing is pending (so the `Every`
-    /// policy pays no extra fsyncs at barriers).
-    pub fn barrier(&mut self) -> io::Result<()> {
-        self.flush()
-    }
-
-    /// Drop the staged (unflushed, unsynced) suffix — the in-process
-    /// equivalent of crashing before the next flush. Test hook for
-    /// crash-boundary proptests.
-    pub fn discard_unsynced(&mut self) {
-        self.buf.clear();
-        self.pending = 0;
+        self.sync()
     }
 
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.fsyncs += 1;
-        if let Some(name) = self.metrics.fsyncs {
-            self.metrics.telemetry.incr(name);
+        if let Some((telemetry, counters)) = &self.counters {
+            telemetry.incr(counters.fsyncs);
         }
         if self.crash_at_fsync == Some(self.fsyncs) {
             // Kill -9 semantics: no destructors, no unwinding — the
@@ -306,22 +299,34 @@ impl BatchedWriter {
     }
 }
 
-impl Drop for BatchedWriter {
+fn open_for_append(path: &Path) -> io::Result<(File, u64)> {
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    let len = file.metadata()?.len();
+    Ok((file, len))
+}
+
+impl Drop for JsonlLog {
     fn drop(&mut self) {
         // Best-effort: clean shutdown loses nothing. abort() skips this.
-        let _ = self.flush();
+        let _ = self.barrier();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("otune-durable-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("log.jsonl")
+        let path = dir.join("log.jsonl");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn text(path: &Path) -> String {
+        std::fs::read_to_string(path).unwrap()
     }
 
     #[test]
@@ -333,139 +338,121 @@ mod tests {
         assert_eq!(SyncPolicy::parse("batch:0"), None);
         assert_eq!(SyncPolicy::parse("batch:"), None);
         assert_eq!(SyncPolicy::parse("sometimes"), None);
-        for p in [SyncPolicy::Every, SyncPolicy::Batch(5), SyncPolicy::Barrier] {
-            assert_eq!(SyncPolicy::parse(&p.as_string()), Some(p));
-        }
     }
 
     #[test]
     fn every_policy_flushes_each_line() {
         let path = tmp("every");
-        let _ = std::fs::remove_file(&path);
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Every).unwrap();
-        assert!(w.append_line("{\"a\":1}").unwrap());
-        assert!(w.append_line("{\"a\":2}").unwrap());
-        assert_eq!(w.acked_lines(), 2);
-        assert_eq!(w.fsyncs(), 2);
-        assert_eq!(w.pending_lines(), 0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"a\":1}\n{\"a\":2}\n");
+        let mut log = JsonlLog::open(&path, SyncPolicy::Every).unwrap();
+        assert_eq!(log.append(&1u32).unwrap(), 2);
+        assert_eq!(log.append(&22u32).unwrap(), 3);
+        assert_eq!(log.fsyncs(), 2);
+        assert_eq!(text(&path), "1\n22\n");
     }
 
     #[test]
     fn batch_policy_groups_lines_under_one_fsync() {
         let path = tmp("batch");
-        let _ = std::fs::remove_file(&path);
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Batch(3)).unwrap();
-        assert!(!w.append_line("1").unwrap());
-        assert!(!w.append_line("2").unwrap());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-        assert!(w.append_line("3").unwrap(), "third line fills the batch");
-        assert_eq!(w.fsyncs(), 1, "one sync_data covered the whole batch");
-        assert_eq!(w.acked_lines(), 3);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "1\n2\n3\n");
+        let mut log = JsonlLog::open(&path, SyncPolicy::Batch(3)).unwrap();
+        log.append(&1u32).unwrap();
+        log.append(&2u32).unwrap();
+        assert_eq!(text(&path), "");
+        log.append(&3u32).unwrap();
+        assert_eq!(log.fsyncs(), 1, "one sync_data covered the whole batch");
+        assert_eq!(text(&path), "1\n2\n3\n");
     }
 
     #[test]
     fn barrier_policy_defers_everything_to_barriers() {
         let path = tmp("barrier");
-        let _ = std::fs::remove_file(&path);
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Barrier).unwrap();
-        for i in 0..10 {
-            assert!(!w.append_line(&format!("{i}")).unwrap());
+        let mut log = JsonlLog::open(&path, SyncPolicy::Barrier).unwrap();
+        for i in 0..10u32 {
+            log.append(&i).unwrap();
         }
-        assert_eq!(w.fsyncs(), 0);
-        w.barrier().unwrap();
-        assert_eq!(w.fsyncs(), 1);
-        assert_eq!(w.acked_lines(), 10);
+        assert_eq!(log.fsyncs(), 0);
+        log.barrier().unwrap();
+        assert_eq!(log.fsyncs(), 1);
+        assert_eq!(JsonlLog::load::<u32>(&path).unwrap().0.len(), 10);
         // An empty barrier is free.
-        w.barrier().unwrap();
-        assert_eq!(w.fsyncs(), 1);
+        log.barrier().unwrap();
+        assert_eq!(log.fsyncs(), 1);
     }
 
     #[test]
-    fn discard_unsynced_loses_only_the_staged_suffix() {
-        let path = tmp("discard");
-        let _ = std::fs::remove_file(&path);
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Batch(2)).unwrap();
-        w.append_line("a").unwrap();
-        w.append_line("b").unwrap(); // flushed batch
-        w.append_line("c").unwrap(); // staged only
-        w.discard_unsynced();
-        w.barrier().unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a\nb\n");
-        assert_eq!(w.acked_lines(), 2);
+    fn open_heals_a_torn_tail_once() {
+        let path = tmp("heal");
+        std::fs::write(&path, "1\n2").unwrap();
+        let log = JsonlLog::open(&path, SyncPolicy::Barrier).unwrap();
+        assert_eq!(text(&path), "1\n2\n", "healed without an append");
+        assert_eq!(log.fsyncs(), 1);
+        drop(log);
+        // Already healed: reopening writes and syncs nothing.
+        let log = JsonlLog::open(&path, SyncPolicy::Barrier).unwrap();
+        assert_eq!(log.fsyncs(), 0);
+        assert_eq!(text(&path), "1\n2\n");
     }
 
     #[test]
-    fn torn_tail_heals_lazily_on_next_append() {
-        let path = tmp("lazyheal");
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, "complete\npart").unwrap();
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Every).unwrap();
-        w.append_line("next").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "complete\npart\nnext\n"
-        );
-    }
-
-    #[test]
-    fn heal_now_repairs_the_tail_without_an_append() {
-        let path = tmp("eagerheal");
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, "part").unwrap();
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Barrier).unwrap();
-        w.heal_now().unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "part\n");
-        // Already healed: a second call is free.
-        let fsyncs = w.fsyncs();
-        w.heal_now().unwrap();
-        assert_eq!(w.fsyncs(), fsyncs);
+    fn appends_after_a_torn_tail_start_on_a_fresh_line() {
+        let path = tmp("torn");
+        std::fs::write(&path, "1\n{\"par").unwrap();
+        let mut log = JsonlLog::open(&path, SyncPolicy::Every).unwrap();
+        log.append(&3u32).unwrap();
+        assert_eq!(text(&path), "1\n{\"par\n3\n");
+        assert_eq!(JsonlLog::load::<u32>(&path).unwrap(), (vec![1, 3], 1));
     }
 
     #[test]
     fn drop_flushes_best_effort() {
         let path = tmp("dropflush");
-        let _ = std::fs::remove_file(&path);
         {
-            let mut w = BatchedWriter::open(&path, SyncPolicy::Barrier).unwrap();
-            w.append_line("staged").unwrap();
+            let mut log = JsonlLog::open(&path, SyncPolicy::Barrier).unwrap();
+            log.append("staged").unwrap();
         }
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "staged\n");
+        assert_eq!(text(&path), "\"staged\"\n");
     }
 
     #[test]
     fn logical_len_tracks_staged_bytes() {
         let path = tmp("logical");
-        let _ = std::fs::remove_file(&path);
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Barrier).unwrap();
-        w.append_line("abc").unwrap();
-        assert_eq!(w.logical_len(), 4);
-        w.barrier().unwrap();
-        assert_eq!(w.logical_len(), 4);
+        let mut log = JsonlLog::open(&path, SyncPolicy::Barrier).unwrap();
+        assert!(log.is_empty());
+        log.append(&123u32).unwrap();
+        assert_eq!(log.len(), 4);
+        log.barrier().unwrap();
+        assert_eq!(log.len(), 4);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 4);
     }
 
     #[test]
     fn flush_counters_reach_the_registry() {
         let path = tmp("counters");
-        let _ = std::fs::remove_file(&path);
         let (telemetry, _sink) = crate::Telemetry::ring(16);
-        let metrics = WriterMetrics {
-            telemetry: telemetry.clone(),
-            batches: Some(metric::JOURNAL_BATCHES),
-            fsyncs: Some(metric::JOURNAL_FSYNCS),
-            bytes: Some(metric::JOURNAL_BYTES),
-        };
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Batch(2))
-            .unwrap()
-            .with_metrics(metrics);
-        w.append_line("xy").unwrap();
-        w.append_line("zw").unwrap();
+        let mut log = JsonlLog::open(&path, SyncPolicy::Batch(2)).unwrap();
+        log.set_telemetry(telemetry.clone(), LogCounters::JOURNAL);
+        log.append(&12u32).unwrap();
+        log.append(&34u32).unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters[metric::JOURNAL_BATCHES], 1);
         assert_eq!(snap.counters[metric::JOURNAL_FSYNCS], 1);
         assert_eq!(snap.counters[metric::JOURNAL_BYTES], 6);
+    }
+
+    #[test]
+    fn rotation_carries_the_fsync_count_and_counters() {
+        let (first, second) = (tmp("rotate-a"), tmp("rotate-b"));
+        let (telemetry, _sink) = crate::Telemetry::ring(16);
+        let mut log = JsonlLog::open(&first, SyncPolicy::Barrier).unwrap();
+        log.set_telemetry(telemetry.clone(), LogCounters::JOURNAL);
+        log.append(&1u32).unwrap();
+        log.rotate_to(&second).unwrap();
+        assert_eq!(log.fsyncs(), 1, "rotation synced the old segment");
+        assert_eq!(log.len(), 0);
+        log.append(&2u32).unwrap();
+        log.barrier().unwrap();
+        assert_eq!((text(&first), text(&second)), ("1\n".into(), "2\n".into()));
+        assert_eq!(log.fsyncs(), 2);
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counters[metric::JOURNAL_FSYNCS], 2);
     }
 }

@@ -1,5 +1,6 @@
 //! Observability for the tuning service: a structured event log, a
-//! lightweight metrics registry, and timing spans.
+//! lightweight metrics registry, hierarchical trace spans, and the
+//! durable JSONL log that journals and corpora are stored in.
 //!
 //! The crate is deliberately free of tuning logic — it sits below
 //! `otune-bo`, `otune-meta`, and `otune-core` in the dependency graph so
@@ -23,15 +24,13 @@ mod event;
 mod export;
 mod metrics;
 mod sink;
-mod span;
 mod trace;
 
-pub use durable::{BatchedWriter, SyncPolicy, WriterMetrics, CRASH_FSYNC_PREFIX, SYNC_ENV};
+pub use durable::{JsonlLog, LogCounters, SyncPolicy, SYNC_ENV};
 pub use event::{Event, EventKind, ResizeDirection, StopReason, SuggestionKind};
 pub use export::{chrome_trace_json, prometheus_text};
 pub use metrics::{metric, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use sink::{read_jsonl, read_jsonl_lossy, EventSink, JsonlSink, NullSink, RingBufferSink};
-pub use span::Span;
+pub use sink::{EventSink, JsonlSink, NullSink, RingBufferSink};
 pub use trace::{
     attribute, spans_from_events, structural_key, trace_key, AttributionReport, PhaseRow,
     SpanRecord, TraceCtx, DEFAULT_TRACE_CAPACITY,
@@ -39,6 +38,7 @@ pub use trace::{
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use trace::{OpenSpan, TraceState};
 
 struct Inner {
@@ -186,13 +186,6 @@ impl Telemetry {
         }
     }
 
-    /// Start a timing span; the elapsed seconds are recorded into the
-    /// `name` histogram when the returned guard drops. Disabled handles
-    /// return an inert guard that never reads the clock.
-    pub fn span(&self, name: &'static str) -> Span {
-        Span::start(self.clone(), name, self.is_enabled())
-    }
-
     /// Open a hierarchical trace span: child of the thread's current
     /// span, or a new trace root when none is active. Non-tracing
     /// handles return an inert guard — no clock read, no allocation.
@@ -202,17 +195,33 @@ impl Telemetry {
     /// [`Telemetry::trace_span_keyed`] so their ids do not depend on
     /// scheduling order.
     pub fn trace_span(&self, name: &'static str) -> TraceSpan {
-        self.trace_open(name, None)
+        self.trace_open(name, None, None)
     }
 
     /// Open a trace span whose id is pinned by a caller-chosen key
     /// (task hash, candidate index) — required for spans
     /// opened concurrently under one parent.
     pub fn trace_span_keyed(&self, name: &'static str, key: u64) -> TraceSpan {
-        self.trace_open(name, Some(key))
+        self.trace_open(name, None, Some(key))
     }
 
-    fn trace_open(&self, name: &'static str, key: Option<u64>) -> TraceSpan {
+    /// A [`Telemetry::trace_span`] that also feeds the `histogram` it
+    /// names: when the guard drops, an enabled handle records the elapsed
+    /// seconds there, traced or not. Disabled handles return an inert
+    /// guard that never reads the clock.
+    pub fn trace_span_timed(&self, name: &'static str, histogram: &'static str) -> TraceSpan {
+        self.trace_open(name, Some(histogram), None)
+    }
+
+    fn trace_open(
+        &self,
+        name: &'static str,
+        histogram: Option<&'static str>,
+        key: Option<u64>,
+    ) -> TraceSpan {
+        let timer = histogram
+            .filter(|_| self.is_enabled())
+            .map(|h| (h, Instant::now()));
         let open = self
             .inner
             .as_ref()
@@ -222,6 +231,7 @@ impl Telemetry {
             telemetry: self.clone(),
             name,
             open,
+            timer,
         }
     }
 
@@ -296,14 +306,20 @@ impl Telemetry {
 /// RAII guard for a hierarchical trace span. On drop the span closes:
 /// its record lands in the trace buffer and a [`EventKind::SpanClosed`]
 /// event flows through the sink, so JSONL streams carry the full trace.
+/// A span opened by [`Telemetry::trace_span_timed`] also records its
+/// elapsed seconds into its histogram.
 ///
-/// A guard from a non-tracing handle is inert: it holds no timestamps
-/// and never reads the clock.
+/// A guard from a disabled handle is inert: it holds no timestamps and
+/// never reads the clock. On an enabled but untraced handle only a timed
+/// span reads the clock.
 #[must_use = "a trace span closes when dropped; binding it to `_` drops it immediately"]
 pub struct TraceSpan {
     telemetry: Telemetry,
     name: &'static str,
     open: Option<OpenSpan>,
+    /// The histogram this span feeds and when it started (enabled handles
+    /// only).
+    timer: Option<(&'static str, Instant)>,
 }
 
 impl TraceSpan {
@@ -324,6 +340,10 @@ impl TraceSpan {
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
+        if let Some((histogram, start)) = self.timer {
+            self.telemetry
+                .observe(histogram, start.elapsed().as_secs_f64());
+        }
         if let Some(open) = self.open.take() {
             if let Some(inner) = &self.telemetry.inner {
                 if let Some(trace) = &inner.trace {
@@ -377,7 +397,7 @@ mod tests {
         t.incr("x");
         t.observe("y", 1.0);
         {
-            let _span = t.span("z");
+            let _span = t.trace_span_timed("suggest", "z");
         }
         assert!(t.snapshot().is_none());
     }
@@ -519,12 +539,37 @@ mod tests {
         t.gauge("subspace_k", 7.0);
         t.observe("suggest_latency_s", 0.5);
         {
-            let _span = t.span("gp_fit_s");
+            let _span = t.trace_span_timed("gp_update", "gp_fit_s");
         }
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.counters["fallback_suggestions"], 3);
         assert_eq!(snap.gauges["subspace_k"], 7.0);
         assert_eq!(snap.histograms["suggest_latency_s"].count, 1);
         assert_eq!(snap.histograms["gp_fit_s"].count, 1);
+    }
+
+    #[test]
+    fn timed_span_records_elapsed_seconds() {
+        for (t, traced) in [
+            (Telemetry::ring(4).0, false),
+            (Telemetry::ring_traced(4, 1).0, true),
+        ] {
+            {
+                let span = t.trace_span_timed("gp_update", "work_s");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                span.finish();
+            }
+            let h = &t.snapshot().unwrap().histograms["work_s"];
+            assert_eq!(h.count, 1);
+            assert!(h.max >= 0.002, "max = {}", h.max);
+            assert_eq!(t.traces().len(), usize::from(traced));
+        }
+    }
+
+    #[test]
+    fn disabled_timed_span_holds_no_instant() {
+        let span = Telemetry::disabled().trace_span_timed("gp_update", "work_s");
+        assert!(span.timer.is_none());
+        assert!(!span.is_recording());
     }
 }

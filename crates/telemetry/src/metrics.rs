@@ -7,7 +7,10 @@ use std::collections::BTreeMap;
 
 /// Canonical metric names used across the tuning service.
 pub mod metric {
-    /// Histogram: wall-clock seconds per `suggest` call.
+    /// Histogram: wall-clock seconds per model-based `suggest` call (the
+    /// tuner's `suggest` span: the meta ensemble build plus the
+    /// generator's suggestion; budget and failure-streak fallbacks are
+    /// not timed).
     pub const SUGGEST_LATENCY_S: &str = "suggest_latency_s";
     /// Histogram: wall-clock seconds per GP fit.
     pub const GP_FIT_S: &str = "gp_fit_s";
@@ -116,15 +119,14 @@ pub mod metric {
     pub const JOB_CHECKPOINTS: &str = "job_checkpoints";
     /// Counter: campaign reconstructions from a job journal.
     pub const JOB_RESUMES: &str = "job_resumes";
-    /// Counter: torn or corrupt JSONL journal lines skipped by lossy
-    /// loads (snapshot logs and job journals).
+    /// Counter: torn or corrupt job-journal lines skipped by loads.
     pub const JOURNAL_TORN_TAILS: &str = "journal_torn_tails";
-    /// Counter: group-commit batches flushed by batched journal writers
-    /// (one batch may cover many appended lines).
+    /// Counter: group-commit batches flushed by job journals (one batch
+    /// may cover many appended lines).
     pub const JOURNAL_BATCHES: &str = "journal_batches";
-    /// Counter: `sync_data` calls paid by batched journal writers.
+    /// Counter: `sync_data` calls paid by job journals.
     pub const JOURNAL_FSYNCS: &str = "journal_fsyncs";
-    /// Counter: payload bytes written through batched journal writers.
+    /// Counter: payload bytes written to job journals.
     pub const JOURNAL_BYTES: &str = "journal_bytes";
     /// Counter: serialized bytes of delta checkpoint events appended to
     /// job journals.
@@ -135,6 +137,10 @@ pub mod metric {
     /// Counter: buffered tuning-corpus flushes (each one `sync_data`
     /// covering a batch of appended records).
     pub const CORPUS_FLUSHES: &str = "corpus_flushes";
+    /// Counter: `sync_data` calls paid by the tuning corpus.
+    pub const CORPUS_FSYNCS: &str = "corpus_fsyncs";
+    /// Counter: payload bytes written to the tuning corpus.
+    pub const CORPUS_BYTES: &str = "corpus_bytes";
     /// Counter: events lost by the sink (ring overwrites, I/O failures).
     /// Folded into every snapshot so losses are reported, never silent.
     pub const EVENTS_DROPPED: &str = "events_dropped";

@@ -2,11 +2,9 @@
 
 use crate::event::Event;
 use parking_lot::Mutex;
-use serde::Deserialize;
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -104,8 +102,8 @@ impl EventSink for RingBufferSink {
 }
 
 /// Buffered JSONL file sink: one JSON object per line, flushed on
-/// [`flush`](EventSink::flush) and on drop. Replay with [`read_jsonl`]
-/// or `otune events`.
+/// [`flush`](EventSink::flush) and on drop, never fsynced. Replay with
+/// [`JsonlLog::load`](crate::JsonlLog::load) or `otune events`.
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,
     dropped: AtomicU64,
@@ -155,61 +153,11 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Read an event stream written by [`JsonlSink`], oldest first.
-/// Blank lines are skipped; malformed lines are an error.
-pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<Event>> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut events = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event: Event = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: {e:?}", lineno + 1),
-            )
-        })?;
-        events.push(event);
-    }
-    Ok(events)
-}
-
-/// Read a JSONL file of `T` records tolerating torn or corrupt lines (a
-/// crash mid-write leaves a truncated tail; concurrent writers can
-/// interleave garbage; a torn multi-byte write leaves invalid UTF-8).
-/// Bytes are decoded lossily, so damage stays confined to its own line.
-/// Parseable records are returned in file order together with the number
-/// of skipped lines — damage is reported, never silently swallowed.
-/// Blank lines are neither records nor damage. Event streams, the job
-/// journal and the tuning corpus all load through this one reader.
-pub fn read_jsonl_lossy<T: Deserialize, P: AsRef<Path>>(path: P) -> io::Result<(Vec<T>, u64)> {
-    let bytes = std::fs::read(path)?;
-    // `from_utf8_lossy` scans byte by byte; valid files (the common case)
-    // take the much faster strict check and decode identically.
-    let text = match std::str::from_utf8(&bytes) {
-        Ok(text) => Cow::Borrowed(text),
-        Err(_) => String::from_utf8_lossy(&bytes),
-    };
-    let mut records = Vec::new();
-    let mut skipped = 0u64;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<T>(line) {
-            Ok(record) => records.push(record),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((records, skipped))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::JsonlLog;
 
     fn ev(seq: u64) -> Event {
         Event {
@@ -254,8 +202,8 @@ mod tests {
             }
             // Dropping the sink flushes the buffer.
         }
-        let back = read_jsonl(&path).unwrap();
-        assert_eq!(back, written);
+        let back = JsonlLog::load::<Event>(&path).unwrap();
+        assert_eq!(back, (written, 0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -274,7 +222,7 @@ mod tests {
         let good = serde_json::to_string(&ev(0)).unwrap();
         let torn = &good[..good.len() / 2]; // crash mid-write
         std::fs::write(&path, format!("{good}\nnot json\n{good}\n{torn}")).unwrap();
-        let (events, skipped) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+        let (events, skipped) = JsonlLog::load::<Event>(&path).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(skipped, 2, "garbage line + torn tail");
         std::fs::remove_file(&path).ok();
@@ -288,18 +236,9 @@ mod tests {
         bytes.extend_from_slice(b"\xff\n");
         bytes.extend_from_slice(format!("{good}\n").as_bytes());
         std::fs::write(&path, bytes).unwrap();
-        let (events, skipped) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+        let (events, skipped) = JsonlLog::load::<Event>(&path).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(skipped, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_jsonl_rejects_malformed_lines() {
-        let path = std::env::temp_dir().join("otune-telemetry-bad.jsonl");
-        std::fs::write(&path, "not json\n").unwrap();
-        let err = read_jsonl(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -4,9 +4,7 @@
 //! silent — these tests drive the sinks to their failure edges and check
 //! the dropped counters and the lossy reader against them.
 
-use otune_telemetry::{
-    metric, read_jsonl_lossy, Event, EventKind, JsonlSink, RingBufferSink, Telemetry,
-};
+use otune_telemetry::{metric, Event, EventKind, JsonlLog, JsonlSink, RingBufferSink, Telemetry};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -48,7 +46,7 @@ fn lossy_reader_survives_torn_tail_and_mid_stream_corruption() {
     rewritten.push_str("\n{\"task\":\"y\""); // torn final record, no newline
     std::fs::write(&path, rewritten).unwrap();
 
-    let (events, dropped) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+    let (events, dropped) = JsonlLog::load::<Event>(&path).unwrap();
     assert_eq!(events.len(), 18, "both corrupt lines and the tail skipped");
     assert_eq!(dropped, 3, "every unreadable line is counted");
     // The surviving events are intact and still ordered.
@@ -77,7 +75,7 @@ fn jsonl_sink_under_concurrent_fleet_waves_loses_nothing() {
         }
     });
     telemetry.flush();
-    let (events, torn) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+    let (events, torn) = JsonlLog::load::<Event>(&path).unwrap();
     assert_eq!(torn, 0, "interleaved writers must not tear lines");
     assert_eq!(events.len(), (waves * workers) as usize);
     // The shared sequence is a total order: every seq appears exactly once.
@@ -138,7 +136,7 @@ fn reader_reports_unreadable_empty_segments() {
     writeln!(f).unwrap();
     write!(f, "{{\"task\"").unwrap();
     drop(f);
-    let (events, dropped) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+    let (events, dropped) = JsonlLog::load::<Event>(&path).unwrap();
     assert!(events.is_empty());
     // The blank line is skipped silently (not data), the two torn lines
     // are counted.

@@ -5,7 +5,7 @@
 use otune_core::controller::TaskState;
 use otune_core::prelude::*;
 use otune_core::telemetry::{
-    metric, read_jsonl, Event, EventKind, JsonlSink, StopReason, SuggestionKind,
+    metric, Event, EventKind, JsonlLog, JsonlSink, StopReason, SuggestionKind,
 };
 use otune_meta::extract_meta_features;
 
@@ -239,7 +239,8 @@ fn jsonl_sink_replays_identically_to_the_ring() {
     let telemetry = drive_task(telemetry, 8);
     telemetry.flush();
 
-    let replayed = read_jsonl(&path).unwrap();
+    let (replayed, torn) = JsonlLog::load::<Event>(&path).unwrap();
+    assert_eq!(torn, 0);
     assert!(!replayed.is_empty());
     assert_eq!(replayed[0].kind.label(), "TaskRegistered");
     assert_eq!(replayed.last().unwrap().kind.label(), "TaskStopped");

@@ -8,7 +8,7 @@
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::prelude::*;
 use otune_core::telemetry::{
-    read_jsonl_lossy, spans_from_events, structural_key, Event, JsonlSink, SpanRecord,
+    spans_from_events, structural_key, Event, JsonlLog, JsonlSink, SpanRecord,
 };
 use otune_core::TaskHandle;
 use otune_pool::Pool;
@@ -209,7 +209,7 @@ fn jsonl_stream_reconstructs_the_in_memory_trace() {
     let telemetry = drive_fleet(telemetry, 2);
     telemetry.flush();
 
-    let (events, torn) = read_jsonl_lossy::<Event, _>(&path).unwrap();
+    let (events, torn) = JsonlLog::load::<Event>(&path).unwrap();
     assert_eq!(torn, 0);
     let rebuilt = spans_from_events(&events);
     let in_memory = telemetry.traces();
