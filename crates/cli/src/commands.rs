@@ -1430,7 +1430,7 @@ fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
                     "surrogate_cache_misses",
                 ),
                 ("shared-meta", "shared_meta_hits", "shared_meta_misses"),
-                ("shared-dist", "shared_dist_hits", "shared_dist_misses"),
+                ("shared-sig", "shared_sig_hits", "shared_sig_misses"),
                 ("base-gp", "meta_base_cache_hits", "meta_base_cache_misses"),
                 ("retrieval", "retrieval_hits", "retrieval_misses"),
             ] {
@@ -1477,7 +1477,7 @@ fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
 /// Print a metrics snapshot as a summary table. Fleet runs surface the
 /// fleet-size gauge (`fleet_tasks`), wave spans
 /// (`fleet_wave_s`), shared-cache hit counters (`shared_meta_*`,
-/// `shared_dist_*`) and similarity refit counters here alongside the
+/// `shared_sig_*`) and similarity refit counters here alongside the
 /// per-task tuning metrics.
 fn write_snapshot(snapshot: &MetricsSnapshot, out: &mut dyn Write) -> std::io::Result<()> {
     if !snapshot.counters.is_empty() {

@@ -4,7 +4,10 @@
 use crate::generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 use crate::objective::{Constraints, Objective};
 use crate::snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
-use otune_bo::{best_observation, metrics_are_valid, CandidateParams, Observation, SubspaceParams};
+use otune_bo::{
+    best_observation, history_fingerprint, metrics_are_valid, CandidateParams, Observation,
+    SubspaceParams, SurrogateInput,
+};
 use otune_gp::{IncrementalPolicy, SparseGpConfig};
 use otune_meta::{EnsembleSurrogate, MetaCache, TaskRecord};
 use otune_pool::Pool;
@@ -203,6 +206,10 @@ pub struct OnlineTuner {
     /// Cross-iteration caches for the meta ensemble (frozen base-task
     /// surrogates, incremental target surrogate, weight-fold memo).
     meta_cache: MetaCache,
+    /// The ensemble's log-scaled base set (`opts.base_tasks`, then
+    /// `own_records`) and each base's history fingerprint, built on first
+    /// use and dropped whenever `own_records` changes.
+    meta_bases: Option<(Vec<TaskRecord>, Vec<u64>)>,
     /// Observability handle (disabled by default).
     telemetry: Telemetry,
 }
@@ -228,6 +235,7 @@ impl OnlineTuner {
             generator,
             space,
             meta_cache: MetaCache::new(opts.incremental),
+            meta_bases: None,
             opts,
             history: Vec::new(),
             pending: None,
@@ -666,6 +674,7 @@ impl OnlineTuner {
         // The round's history now lives under a new base-task id and the
         // target history restarts empty — begin from a clean cache.
         self.meta_cache.clear();
+        self.meta_bases = None;
         let resource_fn = crate::objective::resource_fn_for(&self.space);
         self.generator = Self::make_generator(&self.space, &self.opts, resource_fn);
         self.generator.set_telemetry(self.telemetry.clone());
@@ -809,11 +818,6 @@ impl OnlineTuner {
         if !self.opts.enable_meta {
             return None;
         }
-        let mut bases: Vec<TaskRecord> = self.opts.base_tasks.clone();
-        bases.extend(self.own_records.iter().cloned());
-        if bases.is_empty() {
-            return None;
-        }
         // The generator's EIC works on the log objective; the ensemble's
         // member surrogates must live on the same scale.
         let log = |obs: &[Observation]| -> Vec<Observation> {
@@ -824,16 +828,32 @@ impl OnlineTuner {
                 })
                 .collect()
         };
-        let bases: Vec<TaskRecord> = bases
-            .into_iter()
-            .map(|t| TaskRecord {
-                observations: log(&t.observations),
-                ..t
-            })
-            .collect();
+        let space = &self.space;
+        let (bases, fps) = self.meta_bases.get_or_insert_with(|| {
+            let bases: Vec<TaskRecord> = self
+                .opts
+                .base_tasks
+                .iter()
+                .chain(&self.own_records)
+                .map(|t| TaskRecord {
+                    task_id: t.task_id.clone(),
+                    meta_features: t.meta_features.clone(),
+                    observations: log(&t.observations),
+                })
+                .collect();
+            let fps = bases
+                .iter()
+                .map(|t| history_fingerprint(space, &t.observations, SurrogateInput::Objective))
+                .collect();
+            (bases, fps)
+        });
+        if bases.is_empty() {
+            return None;
+        }
         EnsembleSurrogate::build_cached(
-            &self.space,
-            &bases,
+            space,
+            bases,
+            fps,
             &log(&self.history),
             50,
             self.opts.seed,

@@ -645,9 +645,18 @@ impl GaussianProcess {
         )
     }
 
-    /// Posterior mean only (convenience).
+    /// Posterior mean only: the α-dot of [`GaussianProcess::predict`]
+    /// without the O(n²) triangular solve behind the variance. Same
+    /// products, same order, so the result equals `predict(x).0` bitwise.
     pub fn predict_mean(&self, x: &[f64]) -> f64 {
-        self.predict(x).0
+        debug_assert_eq!(x.len(), self.kernel.dim());
+        let mean_std: f64 = self
+            .x
+            .iter()
+            .zip(&self.alpha)
+            .map(|(xi, a)| self.kernel.eval(xi, x) * a)
+            .sum();
+        mean_std * self.y_std + self.y_mean
     }
 
     /// Batch prediction over `xs`, sequential. Bitwise-identical to

@@ -83,6 +83,23 @@ proptest! {
         }
     }
 
+    /// The mean-only path is the full prediction's mean, bitwise, on
+    /// fitted GPs with searched hyperparameters and mixed feature kinds.
+    #[test]
+    fn predict_mean_matches_predict_bitwise(
+        x in rows(10, 3),
+        y in proptest::collection::vec(-100.0f64..100.0, 10),
+        probes in rows(6, 3),
+        seed in 0u64..1000,
+    ) {
+        let kinds = vec![FeatureKind::Numeric, FeatureKind::Categorical, FeatureKind::DataSize];
+        let cfg = GpConfig { seed, ..GpConfig::default() };
+        let gp = GaussianProcess::fit(kinds, x.clone(), &y, cfg).unwrap();
+        for probe in probes.iter().chain(&x) {
+            prop_assert_eq!(gp.predict_mean(probe).to_bits(), gp.predict(probe).0.to_bits());
+        }
+    }
+
     /// Standardization makes predictions invariant (up to scale) under
     /// affine transformations of the targets.
     #[test]

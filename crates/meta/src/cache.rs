@@ -3,10 +3,14 @@
 //! Rebuilding `M_meta` from scratch every `suggest` call repeats three
 //! expensive jobs whose inputs rarely change in the online paradigm:
 //!
-//! 1. **Base-task surrogates** — each previous task's history is frozen, so
-//!    its surrogate never changes. [`MetaCache`] fits it once per distinct
-//!    observation set (keyed by task id + history fingerprint) and hands out
-//!    `Arc` clones afterwards.
+//! 1. **Base-task surrogates and their signatures** — each previous task's
+//!    history is frozen, so its surrogate never changes. [`MetaCache`] fits
+//!    it once per distinct observation set (keyed by task id + history
+//!    fingerprint, which the caller computes once per base set) and hands
+//!    out `Arc` clones afterwards, together with the surrogate's prediction
+//!    signature at the shared sample `D_rand` (whose encoded points are
+//!    memoized too), so a base's Kendall-τ distance to the target costs no
+//!    base prediction after the first build.
 //! 2. **The target task's own surrogate** — the target history grows by one
 //!    observation per iteration, so the fit is maintained through the same
 //!    incremental [`SurrogateCache`] machinery the generator uses.
@@ -17,12 +21,11 @@
 //!    appending one observation adds exactly one fold (one O(n²) model
 //!    extension) and every earlier fold is memoized.
 
-use crate::distance::kendall_tau;
+use crate::distance::{kendall_tau, signature, Sample};
 use crate::shared::{fit_base_entry, SharedMetaStore};
 use crate::similarity::TaskRecord;
 use otune_bo::{
-    history_fingerprint, observation_fingerprint, surrogate_kinds, Observation, SurrogateCache,
-    SurrogateInput,
+    observation_fingerprint, surrogate_kinds, Observation, SurrogateCache, SurrogateInput,
 };
 use otune_gp::{GaussianProcess, GpConfig, IncrementalPolicy};
 use otune_pool::Pool;
@@ -39,6 +42,15 @@ const WEIGHT_FOLD_WINDOW: usize = 16;
 /// A cached base-task member: frozen surrogate plus the task's objective
 /// statistics (mean, std) used to standardize its predictions.
 type BaseEntry = Option<(Arc<GaussianProcess>, f64, f64)>;
+
+/// One base task's cached fit, keyed by its history fingerprint, and the
+/// fit's signature at the memoized sample once requested.
+#[derive(Debug)]
+struct BaseSlot {
+    fp: u64,
+    entry: BaseEntry,
+    signature: Option<Arc<[f64]>>,
+}
 
 /// Memoized progressive-validation state for the target weight.
 #[derive(Debug, Default)]
@@ -62,7 +74,9 @@ impl WeightMemo {
 #[derive(Debug)]
 pub struct MetaCache {
     policy: IncrementalPolicy,
-    bases: HashMap<String, (u64, BaseEntry)>,
+    bases: HashMap<String, BaseSlot>,
+    /// The sample `D_rand` every signature in `bases` was taken at.
+    sample: Option<Arc<Sample>>,
     target: SurrogateCache,
     weight: WeightMemo,
     /// Optional fleet-wide store consulted on local base-surrogate misses,
@@ -76,6 +90,7 @@ impl MetaCache {
         MetaCache {
             policy,
             bases: HashMap::new(),
+            sample: None,
             target: SurrogateCache::new(SurrogateInput::Objective, policy),
             weight: WeightMemo::default(),
             shared: None,
@@ -98,35 +113,92 @@ impl MetaCache {
     /// kept: it is fleet-lifetime and append-only.
     pub fn clear(&mut self) {
         self.bases.clear();
+        self.sample = None;
         self.target.clear();
         self.weight.clear();
     }
 
-    /// Frozen surrogate + objective statistics for one base task, fitted at
-    /// most once per distinct observation set. Tasks whose history is too
-    /// small for a surrogate cache a `None` so they are not refitted either.
+    /// Frozen surrogate + objective statistics for one base task whose
+    /// history fingerprint is `fp`, fitted at most once per distinct
+    /// observation set. Tasks whose history is too small for a surrogate
+    /// cache a `None` so they are not refitted either.
     pub(crate) fn base_surrogate(
         &mut self,
         space: &ConfigSpace,
         task: &TaskRecord,
+        fp: u64,
         seed: u64,
         telemetry: &Telemetry,
     ) -> BaseEntry {
-        let fp = history_fingerprint(space, &task.observations, SurrogateInput::Objective);
-        if let Some((cached_fp, entry)) = self.bases.get(&task.task_id) {
-            if *cached_fp == fp {
+        if let Some(slot) = self.bases.get(&task.task_id) {
+            if slot.fp == fp {
                 telemetry.incr(metric::META_BASE_CACHE_HITS);
-                return entry.clone();
+                return slot.entry.clone();
             }
         }
         telemetry.incr(metric::META_BASE_CACHE_MISSES);
-        let _trace = telemetry.trace_span("base_fit");
         let entry = match &self.shared {
             Some(store) => store.base_surrogate_at(space, task, fp, seed, telemetry),
-            None => fit_base_entry(space, task, seed),
+            None => fit_base_entry(space, task, seed, telemetry),
         };
-        self.bases.insert(task.task_id.clone(), (fp, entry.clone()));
+        let slot = BaseSlot {
+            fp,
+            entry: entry.clone(),
+            signature: None,
+        };
+        self.bases.insert(task.task_id.clone(), slot);
         entry
+    }
+
+    /// The sample for `(n_sample, seed)`, drawn once. A new sample
+    /// invalidates every cached base signature.
+    pub(crate) fn sample(
+        &mut self,
+        space: &ConfigSpace,
+        n_sample: usize,
+        seed: u64,
+    ) -> Arc<Sample> {
+        if let Some(sample) = &self.sample {
+            if (sample.n_sample, sample.seed) == (n_sample, seed) {
+                return Arc::clone(sample);
+            }
+        }
+        let sample = Arc::new(Sample::draw(space, n_sample, seed));
+        for slot in self.bases.values_mut() {
+            slot.signature = None;
+        }
+        self.sample = Some(Arc::clone(&sample));
+        sample
+    }
+
+    /// The signature at `sample` — which must come from
+    /// [`MetaCache::sample`] — of base task `task_id`'s fit `gp`, whose
+    /// history fingerprint is `fp` and fit seed `seed`. Computed once per
+    /// fit — by the shared store when one is attached — and kept next to
+    /// the fit [`MetaCache::base_surrogate`] cached.
+    pub(crate) fn base_signature(
+        &mut self,
+        task_id: &str,
+        fp: u64,
+        seed: u64,
+        gp: &GaussianProcess,
+        sample: &Sample,
+        telemetry: &Telemetry,
+    ) -> Arc<[f64]> {
+        // A base set listing one task id twice leaves only the later
+        // history's slot; the earlier one is then served uncached.
+        let slot = self.bases.get_mut(task_id).filter(|slot| slot.fp == fp);
+        if let Some(sig) = slot.as_ref().and_then(|slot| slot.signature.clone()) {
+            return sig;
+        }
+        let sig = match &self.shared {
+            Some(store) => store.base_signature(task_id, fp, seed, gp, sample, telemetry),
+            None => signature(gp, sample).into(),
+        };
+        if let Some(slot) = slot {
+            slot.signature = Some(Arc::clone(&sig));
+        }
+        sig
     }
 
     /// The target task's own (context-stripped) surrogate, maintained
@@ -242,6 +314,10 @@ mod tests {
         Telemetry::new(Box::new(otune_telemetry::NullSink))
     }
 
+    fn fp(space: &ConfigSpace, t: &TaskRecord) -> u64 {
+        otune_bo::history_fingerprint(space, &t.observations, SurrogateInput::Objective)
+    }
+
     #[test]
     fn base_surrogates_fit_once_per_history() {
         let s = space();
@@ -252,8 +328,8 @@ mod tests {
         };
         let tm = telemetry();
         let mut cache = MetaCache::new(IncrementalPolicy::default());
-        let a = cache.base_surrogate(&s, &t, 0, &tm).unwrap();
-        let b = cache.base_surrogate(&s, &t, 0, &tm).unwrap();
+        let a = cache.base_surrogate(&s, &t, fp(&s, &t), 0, &tm).unwrap();
+        let b = cache.base_surrogate(&s, &t, fp(&s, &t), 0, &tm).unwrap();
         assert!(Arc::ptr_eq(&a.0, &b.0));
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::META_BASE_CACHE_HITS], 1);
@@ -274,8 +350,8 @@ mod tests {
         let mut c2 = MetaCache::new(IncrementalPolicy::default());
         c1.set_shared(Arc::clone(&store));
         c2.set_shared(Arc::clone(&store));
-        let a = c1.base_surrogate(&s, &t, 0, &tm).unwrap();
-        let b = c2.base_surrogate(&s, &t, 0, &tm).unwrap();
+        let a = c1.base_surrogate(&s, &t, fp(&s, &t), 0, &tm).unwrap();
+        let b = c2.base_surrogate(&s, &t, fp(&s, &t), 0, &tm).unwrap();
         // Both private caches hold the same shared fit.
         assert!(Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(store.n_bases(), 1);
@@ -284,7 +360,7 @@ mod tests {
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
         // Values match a private, storeless fit bitwise.
         let mut lone = MetaCache::new(IncrementalPolicy::default());
-        let c = lone.base_surrogate(&s, &t, 0, &tm).unwrap();
+        let c = lone.base_surrogate(&s, &t, fp(&s, &t), 0, &tm).unwrap();
         let x = vec![0.37];
         assert_eq!(
             a.0.predict_mean(&x).to_bits(),
@@ -302,11 +378,59 @@ mod tests {
         };
         let tm = telemetry();
         let mut cache = MetaCache::new(IncrementalPolicy::default());
-        cache.base_surrogate(&s, &t, 0, &tm);
+        cache.base_surrogate(&s, &t, fp(&s, &t), 0, &tm);
         t.observations[0].objective += 1.0;
-        cache.base_surrogate(&s, &t, 0, &tm);
+        cache.base_surrogate(&s, &t, fp(&s, &t), 0, &tm);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::META_BASE_CACHE_MISSES], 2);
+    }
+
+    #[test]
+    fn points_and_base_signatures_are_computed_once() {
+        let s = space();
+        let t = TaskRecord {
+            task_id: "b1".into(),
+            meta_features: vec![0.0],
+            observations: obs(&s, 12, 5),
+        };
+        let tm = telemetry();
+        let store = Arc::new(crate::SharedMetaStore::new());
+        let mut c1 = MetaCache::new(IncrementalPolicy::default());
+        let mut c2 = MetaCache::new(IncrementalPolicy::default());
+        c1.set_shared(Arc::clone(&store));
+        c2.set_shared(Arc::clone(&store));
+        let sig = |cache: &mut MetaCache, seed: u64| {
+            let sample = cache.sample(&s, 20, seed);
+            let (gp, _, _) = cache.base_surrogate(&s, &t, fp(&s, &t), 0, &tm).unwrap();
+            let sig = cache.base_signature("b1", fp(&s, &t), 0, &gp, &sample, &tm);
+            assert_eq!(
+                sig.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                signature(&gp, &sample)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            );
+            (sample, sig)
+        };
+        let (p1, s1) = sig(&mut c1, 0);
+        let (p2, s2) = sig(&mut c1, 0);
+        assert!(Arc::ptr_eq(&p1, &p2), "points are memoized");
+        assert!(
+            Arc::ptr_eq(&s1, &s2),
+            "the private cache keeps the signature"
+        );
+        let (_, s3) = sig(&mut c2, 0);
+        assert!(
+            Arc::ptr_eq(&s1, &s3),
+            "a second cache is served by the store"
+        );
+        // New points invalidate the cached signature.
+        let (p4, s4) = sig(&mut c1, 1);
+        assert!(!Arc::ptr_eq(&p1, &p4) && !Arc::ptr_eq(&s1, &s4));
+        let snap = tm.snapshot().unwrap();
+        assert_eq!(snap.counters[metric::SHARED_SIG_MISSES], 2);
+        assert_eq!(snap.counters[metric::SHARED_SIG_HITS], 1);
+        assert_eq!(store.n_signatures(), 2);
     }
 
     #[test]

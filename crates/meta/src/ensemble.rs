@@ -14,9 +14,9 @@
 //! GP, which puts different tasks' objective scales on common footing).
 
 use crate::cache::MetaCache;
-use crate::distance::surrogate_distance;
+use crate::distance::{signature, signature_distance};
 use crate::similarity::TaskRecord;
-use otune_bo::Observation;
+use otune_bo::{history_fingerprint, Observation, SurrogateInput};
 use otune_gp::{GaussianProcess, IncrementalPolicy};
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
@@ -52,9 +52,14 @@ impl EnsembleSurrogate {
         seed: u64,
     ) -> Option<Self> {
         let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let base_fps: Vec<u64> = base_tasks
+            .iter()
+            .map(|t| history_fingerprint(space, &t.observations, SurrogateInput::Objective))
+            .collect();
         Self::build_cached(
             space,
             base_tasks,
+            &base_fps,
             target_obs,
             n_sample,
             seed,
@@ -64,12 +69,18 @@ impl EnsembleSurrogate {
     }
 
     /// [`Self::build`] with persistent caches: frozen base-task surrogates
-    /// are fitted once per distinct history, the target surrogate is
-    /// extended incrementally while the runhistory only grows, and the
-    /// target-weight validation folds are memoized.
+    /// and their prediction signatures are computed once per distinct
+    /// history, the target surrogate is extended incrementally while the
+    /// runhistory only grows, and the target-weight validation folds are
+    /// memoized. `base_fps[i]` is the objective history fingerprint of
+    /// `base_tasks[i]`, which callers holding a fixed base set compute
+    /// once. A build predicts only the target: `n_sample` means for its
+    /// signature, one Kendall τ per base.
+    #[allow(clippy::too_many_arguments)]
     pub fn build_cached(
         space: &ConfigSpace,
         base_tasks: &[TaskRecord],
+        base_fps: &[u64],
         target_obs: &[Observation],
         n_sample: usize,
         seed: u64,
@@ -83,9 +94,14 @@ impl EnsembleSurrogate {
             let sd = otune_linalg_std(&ys).max(1e-9);
             (mean, sd)
         };
-        let bases: Vec<(Arc<GaussianProcess>, f64, f64)> = base_tasks
+        assert_eq!(base_tasks.len(), base_fps.len(), "one fingerprint per base");
+        let bases: Vec<_> = base_tasks
             .iter()
-            .filter_map(|t| cache.base_surrogate(space, t, seed, telemetry))
+            .zip(base_fps)
+            .filter_map(|(t, &fp)| {
+                let entry = cache.base_surrogate(space, t, fp, seed, telemetry)?;
+                Some((t.task_id.as_str(), fp, entry))
+            })
             .collect();
 
         // Member surrogates are configuration-only, so strip contexts once.
@@ -108,14 +124,17 @@ impl EnsembleSurrogate {
         let mut members: Vec<(Arc<GaussianProcess>, f64, f64, f64)> = Vec::new();
         match &target {
             Some(tgt) => {
-                for (base, m, sd) in bases {
-                    let d = surrogate_distance(space, &base, tgt, n_sample, seed);
+                let sample = cache.sample(space, n_sample, seed);
+                let target_sig = signature(tgt, &sample);
+                for (id, fp, (base, m, sd)) in bases {
+                    let sig = cache.base_signature(id, fp, seed, &base, &sample, telemetry);
+                    let d = signature_distance(&sig, &target_sig);
                     members.push((base, (1.0 - d).max(0.0), m, sd));
                 }
             }
             None => {
                 // No target model yet: uniform trust in the bases.
-                for (base, m, sd) in bases {
+                for (_, _, (base, m, sd)) in bases {
                     members.push((base, 1.0, m, sd));
                 }
             }
@@ -346,6 +365,51 @@ mod tests {
                 assert_eq!(bm.to_bits(), sm.to_bits(), "width {width}");
                 assert_eq!(bv.to_bits(), sv.to_bits(), "width {width}");
             }
+        }
+    }
+
+    #[test]
+    fn shared_store_builds_the_same_weights_at_any_pool_width() {
+        let s = space();
+        let bases: Vec<TaskRecord> = (0..5u64)
+            .map(|i| {
+                let k = i as f64;
+                record(&s, &format!("b{i}"), 14, i, move |a| {
+                    target_fn(a) * (1.0 + k) - k * 3.0 * a
+                })
+            })
+            .collect();
+        let fps: Vec<u64> = bases
+            .iter()
+            .map(|t| history_fingerprint(&s, &t.observations, SurrogateInput::Objective))
+            .collect();
+        let targets: Vec<Vec<Observation>> = (0..6u64)
+            .map(|j| record(&s, "t", 4 + j as usize, 100 + j, target_fn).observations)
+            .collect();
+        let bits = |e: &EnsembleSurrogate| -> Vec<u64> {
+            e.weights().iter().map(|w| w.to_bits()).collect()
+        };
+        let private: Vec<Vec<u64>> = targets
+            .iter()
+            .map(|t| bits(&EnsembleSurrogate::build(&s, &bases, t, 30, 0).unwrap()))
+            .collect();
+        for width in [1, 4] {
+            let store = Arc::new(crate::SharedMetaStore::new());
+            let tm = Telemetry::disabled();
+            let shared = otune_pool::Pool::new(width).map(&targets, |_, t| {
+                let mut cache = MetaCache::new(IncrementalPolicy::default());
+                cache.set_shared(Arc::clone(&store));
+                let mut build = || {
+                    EnsembleSurrogate::build_cached(&s, &bases, &fps, t, 30, 0, &mut cache, &tm)
+                        .unwrap()
+                };
+                let (cold, warm) = (build(), build());
+                assert_eq!(bits(&cold), bits(&warm), "a warm build reweights");
+                bits(&cold)
+            });
+            assert_eq!(shared, private, "pool width {width}");
+            assert_eq!(store.n_bases(), bases.len());
+            assert_eq!(store.n_signatures(), bases.len());
         }
     }
 

@@ -7,25 +7,27 @@
 //! [`SharedMetaStore`] dedupes that work process-wide:
 //!
 //! * **Base surrogates** are keyed by `(task id, history fingerprint, seed)`
-//!   and fitted at most once; every tuner whose private cache misses gets an
-//!   `Arc` clone of the shared fit.
-//! * **Pairwise surrogate distances** (the similarity model's training
-//!   labels) are memoized by the two tasks' history fingerprints plus the
-//!   sample size and seed, so a scheduled similarity refit only pays for
-//!   pairs it has never seen.
+//!   and fitted exactly once: concurrent requesters of one key wait for a
+//!   single fit, and every tuner whose private cache misses gets an `Arc`
+//!   clone of it.
+//! * **Prediction signatures** — a base surrogate's posterior means at the
+//!   shared random sample `D_rand` — are keyed like the fit plus the sample
+//!   size and computed at most once, so a Kendall-τ distance to a base
+//!   (an ensemble weight, or a similarity-model training label) costs one
+//!   τ over two cached vectors.
 //!
 //! Sharing is *transparent*: a fit is a pure function of
-//! `(space, history, seed)` and a distance of
-//! `(space, surrogates, n_sample, seed)`, so a task's suggestions are
-//! bitwise identical whether its entries were fitted privately, fitted by
-//! another task, or served from the memo. The store is append-only for the
-//! lifetime of the fleet — base-task histories are frozen, so entries are
-//! never invalidated, only added.
+//! `(space, history, seed)` and a signature of `(fit, space, n_sample,
+//! seed)`, so a task's suggestions are bitwise identical whether its
+//! entries were computed privately, by another task, or served from the
+//! store. The store is append-only for the lifetime of the fleet —
+//! base-task histories are frozen, so entries are never invalidated, only
+//! added.
 //!
 //! [`MetaCache`]: crate::MetaCache
 
 use crate::corpus::{CorpusRecord, RetrievalIndex, TuningCorpus};
-use crate::distance::surrogate_distance;
+use crate::distance::{signature, Sample};
 use crate::ensemble::{otune_linalg_mean, otune_linalg_std};
 use crate::similarity::TaskRecord;
 use otune_bo::{history_fingerprint, SurrogateInput};
@@ -33,17 +35,54 @@ use otune_gp::GaussianProcess;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, Telemetry};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A shared base-task entry: frozen surrogate plus the task's objective
 /// mean/std used to standardize its predictions. `None` is cached for
 /// tasks whose history is too small so they are not re-attempted.
 pub(crate) type SharedBaseEntry = Option<(Arc<GaussianProcess>, f64, f64)>;
 
+/// A base fit's key: `(task id, history fingerprint, fit seed)`.
+type BaseKey = (String, u64, u64);
+
+/// Values computed once per key. The map lock is held only to find or
+/// insert a key's cell; the first requester computes the value inside the
+/// cell while later requesters of that key wait on it alone.
+type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// The value for `key`, computed by `init` on first request, and whether
+/// this call computed it.
+fn once<K: Hash + Eq, V: Clone>(
+    map: &OnceMap<K, V>,
+    key: K,
+    init: impl FnOnce() -> V,
+) -> (V, bool) {
+    let cell = Arc::clone(
+        map.lock()
+            .expect("shared meta store lock")
+            .entry(key)
+            .or_default(),
+    );
+    let mut computed = false;
+    let value = cell.get_or_init(|| {
+        computed = true;
+        init()
+    });
+    (value.clone(), computed)
+}
+
 /// Fit a base-task entry from scratch: the canonical pure function backing
-/// both the private [`crate::MetaCache`] and the shared store.
-pub(crate) fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64) -> SharedBaseEntry {
+/// both the private [`crate::MetaCache`] and the shared store, and the only
+/// place a `base_fit` span opens.
+pub(crate) fn fit_base_entry(
+    space: &ConfigSpace,
+    task: &TaskRecord,
+    seed: u64,
+    telemetry: &Telemetry,
+) -> SharedBaseEntry {
+    let _trace = telemetry.trace_span("base_fit");
     task.surrogate(space, seed).map(|s| {
         let ys: Vec<f64> = task.observations.iter().map(|o| o.objective).collect();
         (
@@ -66,11 +105,10 @@ struct CorpusState {
 /// Process-wide read-only meta-knowledge shared by every task in a fleet.
 #[derive(Debug, Default)]
 pub struct SharedMetaStore {
-    /// Base surrogates by `(task id, history fingerprint, fit seed)`.
-    bases: Mutex<HashMap<(String, u64, u64), SharedBaseEntry>>,
-    /// Pairwise surrogate distances by
-    /// `(fingerprint a, fingerprint b, n_sample, seed)`.
-    distances: Mutex<HashMap<(u64, u64, usize, u64), f64>>,
+    /// Base surrogates by fit key.
+    bases: OnceMap<BaseKey, SharedBaseEntry>,
+    /// Base prediction signatures by fit key and sample `(n_sample, seed)`.
+    signatures: OnceMap<(BaseKey, usize, u64), Arc<[f64]>>,
     /// Optional persistent tuning corpus for zero-execution retrieval.
     corpus: Mutex<Option<CorpusState>>,
 }
@@ -86,9 +124,13 @@ impl SharedMetaStore {
         self.bases.lock().expect("shared meta store lock").len()
     }
 
-    /// Number of memoized pairwise distances.
-    pub fn n_distances(&self) -> usize {
-        self.distances.lock().expect("shared meta store lock").len()
+    /// Number of cached base prediction signatures.
+    #[cfg(test)]
+    pub(crate) fn n_signatures(&self) -> usize {
+        self.signatures
+            .lock()
+            .expect("shared meta store lock")
+            .len()
     }
 
     /// Shared base surrogate for `task`, fitted on first request and served
@@ -115,20 +157,41 @@ impl SharedMetaStore {
         telemetry: &Telemetry,
     ) -> SharedBaseEntry {
         let key = (task.task_id.clone(), fp, seed);
-        if let Some(entry) = self.bases.lock().expect("shared meta store lock").get(&key) {
-            telemetry.incr(metric::SHARED_META_HITS);
-            return entry.clone();
-        }
-        // Fit outside the lock so concurrent workers never serialize on a
-        // fit. A racing duplicate fit produces the identical entry (the fit
-        // is pure), so last-write-wins is harmless.
-        telemetry.incr(metric::SHARED_META_MISSES);
-        let entry = fit_base_entry(space, task, seed);
-        self.bases
-            .lock()
-            .expect("shared meta store lock")
-            .insert(key, entry.clone());
+        let (entry, fitted) = once(&self.bases, key, || {
+            fit_base_entry(space, task, seed, telemetry)
+        });
+        telemetry.incr(if fitted {
+            metric::SHARED_META_MISSES
+        } else {
+            metric::SHARED_META_HITS
+        });
         entry
+    }
+
+    /// The signature at `sample` of `gp`, the base fit keyed
+    /// `(task_id, fp, seed)`. Computed on first request and served
+    /// afterwards.
+    pub(crate) fn base_signature(
+        &self,
+        task_id: &str,
+        fp: u64,
+        seed: u64,
+        gp: &GaussianProcess,
+        sample: &Sample,
+        telemetry: &Telemetry,
+    ) -> Arc<[f64]> {
+        let key = (
+            (task_id.to_string(), fp, seed),
+            sample.n_sample,
+            sample.seed,
+        );
+        let (sig, computed) = once(&self.signatures, key, || signature(gp, sample).into());
+        telemetry.incr(if computed {
+            metric::SHARED_SIG_MISSES
+        } else {
+            metric::SHARED_SIG_HITS
+        });
+        sig
     }
 
     /// Attach a tuning corpus. Every completed fleet observation reported
@@ -215,37 +278,6 @@ impl SharedMetaStore {
         };
         index.bootstrap_with(space, query, k, max_distance, telemetry)
     }
-
-    /// Memoized surrogate distance between two frozen tasks, keyed by their
-    /// history fingerprints. `a` and `b` pair each task's fingerprint with
-    /// its fitted surrogate.
-    pub(crate) fn memo_distance(
-        &self,
-        space: &ConfigSpace,
-        a: (u64, &GaussianProcess),
-        b: (u64, &GaussianProcess),
-        n_sample: usize,
-        seed: u64,
-        telemetry: &Telemetry,
-    ) -> f64 {
-        let key = (a.0, b.0, n_sample, seed);
-        if let Some(d) = self
-            .distances
-            .lock()
-            .expect("shared meta store lock")
-            .get(&key)
-        {
-            telemetry.incr(metric::SHARED_DIST_HITS);
-            return *d;
-        }
-        telemetry.incr(metric::SHARED_DIST_MISSES);
-        let d = surrogate_distance(space, a.1, b.1, n_sample, seed);
-        self.distances
-            .lock()
-            .expect("shared meta store lock")
-            .insert(key, d);
-        d
-    }
 }
 
 #[cfg(test)]
@@ -326,27 +358,55 @@ mod tests {
     }
 
     #[test]
-    fn distances_memoized_and_stable() {
+    fn signatures_memoized_and_match_the_direct_distance() {
         let s = space();
         let ta = task(&s, "a", 10, 4);
         let tb = task(&s, "b", 10, 5);
         let tm = telemetry();
         let store = SharedMetaStore::new();
-        let sa = store.base_surrogate(&s, &ta, 0, &tm).unwrap();
-        let sb = store.base_surrogate(&s, &tb, 0, &tm).unwrap();
-        let fa = history_fingerprint(&s, &ta.observations, SurrogateInput::Objective);
-        let fb = history_fingerprint(&s, &tb.observations, SurrogateInput::Objective);
-        let d1 = store.memo_distance(&s, (fa, &sa.0), (fb, &sb.0), 30, 0, &tm);
-        let d2 = store.memo_distance(&s, (fa, &sa.0), (fb, &sb.0), 30, 0, &tm);
-        assert_eq!(d1.to_bits(), d2.to_bits());
+        let sample = Sample::draw(&s, 30, 0);
+        let sig = |t: &TaskRecord| {
+            let fp = history_fingerprint(&s, &t.observations, SurrogateInput::Objective);
+            let gp = store.base_surrogate_at(&s, t, fp, 0, &tm).unwrap().0;
+            store.base_signature(&t.task_id, fp, 0, &gp, &sample, &tm)
+        };
+        let (sa, sb) = (sig(&ta), sig(&tb));
+        assert!(Arc::ptr_eq(&sa, &sig(&ta)), "second request is served");
+        let gp = |t: &TaskRecord| store.base_surrogate(&s, t, 0, &tm).unwrap().0;
         assert_eq!(
-            d1.to_bits(),
-            surrogate_distance(&s, &sa.0, &sb.0, 30, 0).to_bits()
+            crate::distance::signature_distance(&sa, &sb).to_bits(),
+            crate::distance::surrogate_distance(&s, &gp(&ta), &gp(&tb), 30, 0).to_bits()
         );
-        assert_eq!(store.n_distances(), 1);
+        assert_eq!(store.n_signatures(), 2);
         let snap = tm.snapshot().unwrap();
-        assert_eq!(snap.counters[metric::SHARED_DIST_HITS], 1);
-        assert_eq!(snap.counters[metric::SHARED_DIST_MISSES], 1);
+        assert_eq!(snap.counters[metric::SHARED_SIG_HITS], 1);
+        assert_eq!(snap.counters[metric::SHARED_SIG_MISSES], 2);
+    }
+
+    #[test]
+    fn concurrent_requesters_share_one_fit_and_one_span() {
+        let s = space();
+        let t = task(&s, "b", 12, 6);
+        let (tm, _) = Telemetry::ring_traced(1, 1);
+        let store = SharedMetaStore::new();
+        let start = std::sync::Barrier::new(4);
+        let fits: Vec<Arc<GaussianProcess>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.base_surrogate(&s, &t, 0, &tm).unwrap().0
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(fits.iter().all(|f| Arc::ptr_eq(f, &fits[0])));
+        let spans = tm.traces();
+        assert_eq!(spans.iter().filter(|r| r.name == "base_fit").count(), 1);
+        let snap = tm.snapshot().unwrap();
+        assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
+        assert_eq!(snap.counters[metric::SHARED_META_HITS], 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! run but no tuning history yet — can be predicted against all previous
 //! tasks.
 
-use crate::distance::surrogate_distance;
+use crate::distance::{signature, signature_distance, Sample};
 use crate::shared::SharedMetaStore;
 use otune_bo::{fit_surrogate, history_fingerprint, Observation, SurrogateInput};
 use otune_gbdt::{GbdtConfig, GbdtRegressor};
@@ -77,22 +77,24 @@ impl SimilarityLearner {
         n_sample: usize,
         seed: u64,
     ) -> Option<Self> {
-        let fitted: Vec<(&TaskRecord, Arc<GaussianProcess>)> = tasks
+        let sample = Sample::draw(space, n_sample, seed);
+        let signed: Vec<(&TaskRecord, Arc<[f64]>)> = tasks
             .iter()
-            .filter_map(|t| t.surrogate(space, seed).map(|s| (t, Arc::new(s))))
+            .filter_map(|t| {
+                let gp = t.surrogate(space, seed)?;
+                Some((t, signature(&gp, &sample).into()))
+            })
             .collect();
-        Self::train_fitted(&fitted, seed, |a, b| {
-            surrogate_distance(space, &fitted[a].1, &fitted[b].1, n_sample, seed)
-        })
+        Self::train_signed(&signed, seed)
     }
 
     /// [`SimilarityLearner::train`] backed by a fleet-wide
-    /// [`SharedMetaStore`]: base surrogates come from the store (fitted at
-    /// most once per task history) and pairwise distances are memoized by
-    /// history fingerprint, so a scheduled refit only pays for pairs it has
-    /// never labeled. Produces a model bitwise identical to [`Self::train`]
-    /// on the same task set: fits and labels are pure functions of their
-    /// keyed inputs.
+    /// [`SharedMetaStore`]: base surrogates and their prediction
+    /// signatures come from the store (computed at most once per task
+    /// history), so a scheduled refit only fits and predicts tasks it has
+    /// never seen. Produces a model bitwise identical to [`Self::train`]
+    /// on the same task set: fits and signatures are pure functions of
+    /// their keyed inputs.
     pub fn train_with_store(
         space: &ConfigSpace,
         tasks: &[TaskRecord],
@@ -101,43 +103,32 @@ impl SimilarityLearner {
         store: &SharedMetaStore,
         telemetry: &Telemetry,
     ) -> Option<Self> {
-        let fitted: Vec<(&TaskRecord, u64, Arc<GaussianProcess>)> = tasks
+        let sample = Sample::draw(space, n_sample, seed);
+        let signed: Vec<(&TaskRecord, Arc<[f64]>)> = tasks
             .iter()
             .filter_map(|t| {
                 let fp = history_fingerprint(space, &t.observations, SurrogateInput::Objective);
-                store
-                    .base_surrogate_at(space, t, fp, seed, telemetry)
-                    .map(|(gp, _, _)| (t, fp, gp))
+                let (gp, _, _) = store.base_surrogate_at(space, t, fp, seed, telemetry)?;
+                let sig = store.base_signature(&t.task_id, fp, seed, &gp, &sample, telemetry);
+                Some((t, sig))
             })
             .collect();
-        let pairs: Vec<(&TaskRecord, Arc<GaussianProcess>)> = fitted
-            .iter()
-            .map(|(t, _, gp)| (*t, Arc::clone(gp)))
-            .collect();
-        Self::train_fitted(&pairs, seed, |a, b| {
-            let (_, fa, sa) = &fitted[a];
-            let (_, fb, sb) = &fitted[b];
-            store.memo_distance(space, (*fa, sa), (*fb, sb), n_sample, seed, telemetry)
-        })
+        Self::train_signed(&signed, seed)
     }
 
-    /// Shared trainer core: builds the symmetric pairwise design matrix from
-    /// already-fitted task surrogates, labeling pair `(a, b)` (indices into
-    /// `fitted`) via `dist`.
-    fn train_fitted(
-        fitted: &[(&TaskRecord, Arc<GaussianProcess>)],
-        seed: u64,
-        mut dist: impl FnMut(usize, usize) -> f64,
-    ) -> Option<Self> {
-        if fitted.len() < 2 {
+    /// Shared trainer core: builds the symmetric pairwise design matrix
+    /// from the tasks' prediction signatures, labeling each pair with the
+    /// signatures' Kendall-τ distance.
+    fn train_signed(signed: &[(&TaskRecord, Arc<[f64]>)], seed: u64) -> Option<Self> {
+        if signed.len() < 2 {
             return None;
         }
-        let feature_dim = fitted[0].0.meta_features.len();
+        let feature_dim = signed[0].0.meta_features.len();
         let mut x = Vec::new();
         let mut y = Vec::new();
-        for (a_idx, (ta, _)) in fitted.iter().enumerate() {
-            for (b_off, (tb, _)) in fitted.iter().enumerate().skip(a_idx + 1) {
-                let d = dist(a_idx, b_off);
+        for (a_idx, (ta, sa)) in signed.iter().enumerate() {
+            for (tb, sb) in signed.iter().skip(a_idx + 1) {
+                let d = signature_distance(sa, sb);
                 // Symmetric pair: train on both orderings.
                 let mut fwd = ta.meta_features.clone();
                 fwd.extend_from_slice(&tb.meta_features);
@@ -276,11 +267,17 @@ mod tests {
                 shared.predict(u, v).to_bits()
             );
         }
-        // A second refit over the same tasks is served from the memo.
-        assert_eq!(store.n_distances(), 3);
-        SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
-        assert_eq!(store.n_distances(), 3);
+        // A second refit over the same tasks is served from the store.
+        assert_eq!(store.n_signatures(), 3);
+        let again = SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
+        assert_eq!(store.n_signatures(), 3);
         assert_eq!(store.n_bases(), 3);
+        for (u, v) in &probe {
+            assert_eq!(
+                direct.predict(u, v).to_bits(),
+                again.predict(u, v).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -79,11 +79,12 @@ pub mod metric {
     pub const SHARED_META_HITS: &str = "shared_meta_hits";
     /// Counter: base-task surrogates the shared meta store had to fit.
     pub const SHARED_META_MISSES: &str = "shared_meta_misses";
-    /// Counter: pairwise surrogate distances served from the shared
-    /// meta store's fingerprint-keyed memo.
-    pub const SHARED_DIST_HITS: &str = "shared_dist_hits";
-    /// Counter: pairwise surrogate distances computed and memoized.
-    pub const SHARED_DIST_MISSES: &str = "shared_dist_misses";
+    /// Counter: base-surrogate prediction signatures (the Kendall-τ
+    /// distance inputs) served from the shared meta store.
+    pub const SHARED_SIG_HITS: &str = "shared_sig_hits";
+    /// Counter: base-surrogate prediction signatures the shared meta
+    /// store had to compute.
+    pub const SHARED_SIG_MISSES: &str = "shared_sig_misses";
     /// Counter: scheduled similarity-model refits executed by the
     /// fleet controller.
     pub const SIMILARITY_REFITS: &str = "similarity_refits";

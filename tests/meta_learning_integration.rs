@@ -133,3 +133,142 @@ fn tuner_accepts_base_tasks_for_the_ensemble() {
     }
     assert!(tuner.best().is_some());
 }
+
+/// A small meta-enabled fleet, driven the way `tune-fleet --corpus`
+/// drives one: historical production tasks in the repository, new tasks
+/// whose first report carries meta-features (similarity refit, warm
+/// start, ensemble injection), then plain waves through the meta
+/// ensemble. Returns an FNV-1a digest over the bits of every encoded
+/// suggestion, in wave and task order.
+fn meta_fleet_digest(threads: usize) -> u64 {
+    use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
+    use otune_sparksim::ProductionTaskGenerator;
+    use rand::SeedableRng;
+
+    const BASES: u64 = 8;
+    const BASE_RUNS: u64 = 16;
+    const NEW_TASKS: u64 = 4;
+    const WAVES: u64 = 8;
+    let generator = ProductionTaskGenerator::new(2023);
+    let objective = Objective::new(0.5);
+    let repository = DataRepository::new();
+    for b in 0..BASES {
+        let task = generator.generate_one(b);
+        let (job, space) = (task.job(), task.space());
+        let id = format!("history-{b}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(b);
+        for run in 0..BASE_RUNS {
+            let config = if run == 0 {
+                task.manual_config.clone()
+            } else {
+                space.sample(&mut rng)
+            };
+            let r = job.run(&config, run);
+            repository.record_observation(
+                &id,
+                Observation {
+                    objective: objective.eval(r.runtime_s, r.resource),
+                    runtime: r.runtime_s,
+                    resource: r.resource,
+                    context: Vec::new(),
+                    failed: r.status.is_failure(),
+                    config,
+                },
+            );
+        }
+        let log = job.run(&task.manual_config, 0).event_log;
+        repository.set_meta_features(&id, extract_meta_features(&log));
+    }
+
+    let mut ctl = OnlineTuneController::with_options(
+        std::sync::Arc::new(repository),
+        FleetOptions {
+            n_refit: 32,
+            pool: otune_pool::Pool::new(threads),
+        },
+    );
+    let telemetry = Telemetry::ring(1).0;
+    ctl.set_telemetry(telemetry.clone());
+    let tasks: Vec<_> = (0..NEW_TASKS)
+        .map(|i| generator.generate_one(1_000_000 + i))
+        .collect();
+    let handles: Vec<_> = tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            ctl.create_task(
+                &format!("new-{i}"),
+                t.space(),
+                TunerOptions {
+                    beta: 0.5,
+                    budget: WAVES as usize,
+                    enable_meta: true,
+                    seed: 17,
+                    ..TunerOptions::default()
+                },
+            )
+        })
+        .collect();
+    let requests: Vec<FleetRequest> = handles
+        .iter()
+        .map(|h| FleetRequest {
+            handle: h,
+            context: &[],
+        })
+        .collect();
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for wave in 0..WAVES {
+        let configs: Vec<Configuration> = ctl
+            .request_configs(&requests)
+            .into_iter()
+            .map(|c| c.expect("request"))
+            .collect();
+        let reports: Vec<FleetReport> = configs
+            .into_iter()
+            .enumerate()
+            .map(|(i, config)| {
+                for v in tasks[i].space().encode(&config) {
+                    for byte in v.to_bits().to_le_bytes() {
+                        digest ^= byte as u64;
+                        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+                let r = tasks[i].job().run(&config, wave + 1);
+                FleetReport {
+                    handle: &handles[i],
+                    config,
+                    runtime_s: r.runtime_s,
+                    resource: r.resource,
+                    context: &[],
+                    meta_features: (wave == 0).then(|| extract_meta_features(&r.event_log)),
+                }
+            })
+            .collect();
+        for res in ctl.report_results(&reports) {
+            res.expect("report");
+        }
+    }
+    // The campaign really went through one similarity refit and the
+    // distance-weighted ensemble: with a single refit, every shared
+    // signature hit is a task reusing a base signature another task took.
+    use otune_core::telemetry::metric;
+    let counters = telemetry.snapshot().expect("metrics").counters;
+    let count = |k: &str| counters.get(k).copied().unwrap_or(0);
+    assert_eq!(count(metric::SIMILARITY_REFITS), 1);
+    assert!(count(metric::SHARED_SIG_HITS) > 0);
+    digest
+}
+
+#[test]
+fn meta_fleet_suggestions_match_the_pinned_digest() {
+    // Pinned suggestions of the meta path: memoizing base fits, their
+    // prediction signatures and the sample points must not move a bit.
+    const PINNED: u64 = 10_083_784_553_488_133_663;
+    for threads in [1, 2] {
+        assert_eq!(
+            meta_fleet_digest(threads),
+            PINNED,
+            "meta fleet digest moved on a {threads}-thread pool"
+        );
+    }
+}
